@@ -1,0 +1,13 @@
+"""Make the benchmark modules and the simulator importable in its tests.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(os.path.dirname(BENCH), "src")
+for path in (SRC, BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
