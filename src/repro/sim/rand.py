@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Sequence, TypeVar
 
 __all__ = ["RandomStream", "StreamFactory"]
@@ -20,6 +22,10 @@ T = TypeVar("T")
 
 class RandomStream:
     """A named, seeded random source (thin wrapper over ``random.Random``)."""
+
+    #: (n, skew) -> (cumulative Zipf weights, their total), built on the
+    #: stream's first draw for that pair.
+    _zipf_cdfs: "dict[tuple[int, float], tuple[list[float], float]] | None" = None
 
     def __init__(self, seed: int, name: str = "default") -> None:
         self.name = name
@@ -73,15 +79,18 @@ class RandomStream:
         """Zipf-distributed index in [0, n): used for KV key popularity."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        weights = [1.0 / (i + 1) ** skew for i in range(n)]
-        total = sum(weights)
+        if self._zipf_cdfs is None:
+            self._zipf_cdfs = {}
+        cdf = self._zipf_cdfs.get((n, skew))
+        if cdf is None:
+            weights = [1.0 / (i + 1) ** skew for i in range(n)]
+            cdf = self._zipf_cdfs[(n, skew)] = (
+                list(accumulate(weights)), sum(weights))
+        cumulative, total = cdf
         point = self._rng.uniform(0, total)
-        acc = 0.0
-        for index, weight in enumerate(weights):
-            acc += weight
-            if point <= acc:
-                return index
-        return n - 1
+        # First index whose running sum reaches the point; a point past
+        # the last sum (rounding) falls to the last index.
+        return min(bisect_left(cumulative, point), n - 1)
 
 
 class StreamFactory:

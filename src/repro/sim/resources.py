@@ -51,6 +51,12 @@ __all__ = [
 ]
 
 
+def _notify(resource: Any, kind: str, event: Event, amount: Any) -> None:
+    """Report one resource operation to the engine's observers."""
+    for observer in resource.env._observers:
+        observer.on_resource_op(resource, kind, event, amount)
+
+
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
@@ -131,7 +137,10 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         """Claim one slot; the returned event triggers when granted."""
-        return Request(self, priority)
+        request = Request(self, priority)
+        if self.env._observers:
+            _notify(self, "lock", request, None)
+        return request
 
     def release(self, request: Request) -> Release:
         """Release a granted slot (also done by the ``with`` form)."""
@@ -261,7 +270,10 @@ class Store:
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Take the oldest item (matching ``predicate`` if given)."""
-        return StoreGet(self, predicate)
+        event = StoreGet(self, predicate)
+        if self.env._observers:
+            _notify(self, "store-get", event, None)
+        return event
 
     def try_get(self) -> Any:
         """Non-blocking get: pop the oldest item or return None."""
@@ -398,12 +410,14 @@ class Tank:
             event.succeed()
             if self._gets:
                 self._trigger()
-            return event
-        event = TankPut(self, amount)
-        self._puts.append(event)
-        # No _trigger: the head put still does not fit (queue was non-empty
-        # or this put overflows), and the level did not change, so no
-        # queued get can have become satisfiable either.
+        else:
+            event = TankPut(self, amount)
+            self._puts.append(event)
+            # No _trigger: the head put still does not fit (queue was non-empty
+            # or this put overflows), and the level did not change, so no
+            # queued get can have become satisfiable either.
+        if self.env._observers:
+            _notify(self, "tank-put", event, amount)
         return event
 
     def get(self, amount: float) -> Event:
@@ -416,9 +430,11 @@ class Tank:
             event.succeed()
             if self._puts:
                 self._trigger()
-            return event
-        event = TankGet(self, amount)
-        self._gets.append(event)
+        else:
+            event = TankGet(self, amount)
+            self._gets.append(event)
+        if self.env._observers:
+            _notify(self, "tank-get", event, amount)
         return event
 
     def _trigger(self) -> None:

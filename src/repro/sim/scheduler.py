@@ -25,6 +25,14 @@ order — while the common cases are O(1):
   tail's last entry falls back to the heap.
 * ``_queue`` — heap for everything else: urgent (interrupt) events and
   out-of-order delayed inserts.
+
+Instrumentation (the runtime sanitizer, the engine profiler, the
+wait-for graph) plugs in through one seam: an :class:`Observer` attached
+with :meth:`Environment.attach` sees every event popped by ``step()``,
+every normal return of ``run()`` and every blocking-capable resource
+operation.  While any observer is attached ``run()`` drives the queues
+through ``step()``; with none attached it runs its inlined loop, and the
+resources skip their notification with one tuple truth test.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Any, Iterable, Optional
 from .events import NO_CALLBACKS, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGen
 
-__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
+__all__ = ["Environment", "EmptySchedule", "Observer", "StopSimulation"]
 
 #: Scheduling priorities: URGENT events (interrupts) run before NORMAL
 #: events that share the same timestamp.
@@ -53,6 +61,34 @@ class StopSimulation(Exception):
     """Raised internally to end ``run(until=event)`` early."""
 
 
+class Observer:
+    """Base class for engine instrumentation; every hook is a no-op.
+
+    ``entry`` is the ``(time, priority, eid, event)`` queue entry being
+    processed.  ``after_step`` runs even when a callback raises, so a
+    tool can account for the failing event too.  ``kind`` of a resource
+    operation is one of ``"lock"`` (:meth:`Resource.request`),
+    ``"store-get"``, ``"tank-get"`` or ``"tank-put"``; ``amount`` is the
+    tank amount (None otherwise) and ``event`` the returned event.
+    """
+
+    __slots__ = ()
+
+    def before_step(self, env: "Environment", entry: tuple) -> None:
+        """Called by ``step()`` before it pops ``entry``."""
+
+    def after_step(self, env: "Environment", entry: tuple) -> None:
+        """Called by ``step()`` after ``entry``'s callbacks ran (or raised)."""
+
+    def after_run(self, env: "Environment") -> None:
+        """Called when ``run()`` returns normally."""
+
+    def on_resource_op(
+        self, resource: Any, kind: str, event: Event, amount: Any
+    ) -> None:
+        """Called after a resource request/get/put created ``event``."""
+
+
 class Environment:
     """Discrete-event execution environment.
 
@@ -61,6 +97,11 @@ class Environment:
     initial_time:
         Starting value of the virtual clock (seconds).
     """
+
+    #: Process-wide observers, in attach order (see :meth:`attach`).  A
+    #: class attribute because arming a tool (``REPRO_SANITIZE=1``) arms
+    #: every environment in the process.
+    _observers: "tuple[Observer, ...]" = ()
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -132,23 +173,46 @@ class Environment:
                 return
         heapq.heappush(self._queue, entry)
 
-    def _next_entry_time(self) -> float:
-        """Timestamp of the globally next event, or ``inf`` if none."""
-        first = float("inf")
-        if self._ready:
-            first = self._ready[0][0]
-        if self._tail and self._tail[0][0] < first:
-            first = self._tail[0][0]
-        if self._queue and self._queue[0][0] < first:
-            first = self._queue[0][0]
-        return first
+    def _front(self) -> "Optional[tuple[float, int, int, Event]]":
+        """The globally next entry of the three queues, or None if empty."""
+        best = self._ready[0] if self._ready else None
+        tail = self._tail
+        if tail and (best is None or tail[0] < best):
+            best = tail[0]
+        queue = self._queue
+        if queue and (best is None or queue[0] < best):
+            best = queue[0]
+        return best
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._next_entry_time()
+        entry = self._front()
+        return float("inf") if entry is None else entry[0]
+
+    # -- observers ----------------------------------------------------------
+
+    @classmethod
+    def attach(cls, observer: "Observer") -> None:
+        """Add ``observer`` to every environment in the process."""
+        if observer not in cls._observers:
+            cls._observers = cls._observers + (observer,)
+
+    @classmethod
+    def detach(cls, observer: "Observer") -> None:
+        """Remove ``observer`` (a no-op if it is not attached)."""
+        cls._observers = tuple(
+            attached for attached in cls._observers if attached is not observer
+        )
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
+        observers = self._observers
+        if observers:
+            entry = self._front()
+            if entry is None:
+                raise EmptySchedule()
+            for observer in observers:
+                observer.before_step(self, entry)
         # Pop the globally smallest (time, priority, eid) of the three
         # internally-sorted structures (keep in sync with run()'s drain
         # loop).  Each branch below compares at most two front keys.
@@ -178,20 +242,25 @@ class Environment:
             raise EmptySchedule()
         self.events_processed += 1
 
-        # Inlined Event._mark_processed + dispatch: the compact callback
-        # representation means no list is built for 0/1-waiter events.
-        callbacks = event._callbacks
-        event._callbacks = None
-        if type(callbacks) is list:
-            for callback in callbacks:
-                callback(event)
-        elif callbacks is not NO_CALLBACKS:
-            callbacks(event)
+        try:
+            # Inlined Event._mark_processed + dispatch: the compact
+            # callback representation means no list is built for 0/1-
+            # waiter events.
+            callbacks = event._callbacks
+            event._callbacks = None
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(event)
+            elif callbacks is not NO_CALLBACKS:
+                callbacks(event)
 
-        if not event._ok and not event.defused:
-            # A failure that nobody consumed: surface it loudly.
-            exc = event._value
-            raise exc
+            if not event._ok and not event.defused:
+                # A failure that nobody consumed: surface it loudly.
+                raise event._value
+        finally:
+            if observers:
+                for observer in observers:
+                    observer.after_step(self, entry)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -203,30 +272,37 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its exception).
         """
-        if until is None:
-            stop_at = float("inf")
-            stop_event: Optional[Event] = None
-        elif isinstance(until, Event):
-            stop_at = float("inf")
+        stop_at = float("inf")
+        stop_event: Optional[Event] = None
+        if isinstance(until, Event):
             stop_event = until
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value
-            stop_event._add_callback(self._stop_on)
-        else:
+            if not stop_event.processed:
+                stop_event._add_callback(self._stop_on)
+        elif until is not None:
             stop_at = float(until)
-            stop_event = None
             if stop_at < self._now:
                 raise ValueError(
                     f"until={stop_at} is in the past (now={self._now})"
                 )
 
         try:
-            if stop_at == float("inf"):
-                # No time bound: drain the queues with step()'s body
+            if stop_event is not None and stop_event.processed:
+                pass  # nothing to run for
+            elif self._observers:
+                # Checked loop: every event goes through step() and so
+                # past every observer.
+                while True:
+                    entry = self._front()
+                    if entry is None or entry[0] > stop_at:
+                        break
+                    self.step()
+            else:
+                # No observers: drain the queues with step()'s body
                 # inlined (keep in sync with step()) — the per-event method
-                # call is measurable at millions of events per run.
+                # call is measurable at millions of events per run.  Ready
+                # entries sit at the current time, which never passes
+                # ``stop_at``, so only a tail or heap front can lie beyond
+                # the bound.
                 ready = self._ready
                 tail = self._tail
                 queue = self._queue
@@ -285,10 +361,16 @@ class Environment:
                                 self._now, _, _, event = ready.popleft()
                         elif tail:
                             if queue and queue[0] < tail[0]:
+                                if queue[0][0] > stop_at:
+                                    break
                                 self._now, _, _, event = heappop(queue)
                             else:
+                                if tail[0][0] > stop_at:
+                                    break
                                 self._now, _, _, event = tail.popleft()
                         else:
+                            if queue[0][0] > stop_at:
+                                break
                             self._now, _, _, event = heappop(queue)
                         events += 1
                         callbacks = event._callbacks
@@ -302,32 +384,21 @@ class Environment:
                             raise event._value
                 finally:
                     self.events_processed += events
-            else:
-                while True:
-                    next_at = self._next_entry_time()
-                    if next_at > stop_at:  # also covers drained queues (inf)
-                        self._now = stop_at
-                        return None
-                    self.step()
         except StopSimulation as stop:
-            event = stop.args[0]
-            if event._ok:
-                return event._value
-            raise event._value from None
-        except EmptySchedule:  # pragma: no cover - race with while condition
-            pass
+            stop_event = stop.args[0]
+        else:
+            if stop_event is not None and not stop_event.processed:
+                raise RuntimeError(
+                    "simulation ran out of events before `until` event triggered"
+                )
+            if stop_at != float("inf"):
+                self._now = stop_at
 
-        if stop_event is not None and not stop_event.processed:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event triggered"
-            )
-        if stop_at != float("inf"):
-            self._now = stop_at
-        if stop_event is not None:
-            if stop_event._ok:
-                return stop_event._value
+        if stop_event is not None and not stop_event._ok:
             raise stop_event._value
-        return None
+        for observer in self._observers:
+            observer.after_run(self)
+        return None if stop_event is None else stop_event._value
 
     @staticmethod
     def _stop_on(event: Event) -> None:

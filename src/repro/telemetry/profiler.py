@@ -8,13 +8,11 @@ resumes, the *process generator's* code object, which is what names the
 subsystem (``netstack/tcp.py:_rx_worker``, ``core/vnic.py:_sq_loop``,
 …) rather than the engine-internal trampoline.
 
-Install/uninstall mirrors :mod:`repro.analysis.sanitizer`: the engine's
-``step``/``run`` are swapped for wrappers, and ``run``'s inlined drain
-loop is re-routed through ``step()`` so every event passes the wrapper.
-The un-armed engine is untouched — zero cost when not profiling.  The
-profiler composes with the sanitizer (either order of install works;
-uninstall in LIFO order) because each saves and restores whatever
-``step``/``run`` it found.
+The profiler is an engine :class:`~repro.sim.scheduler.Observer`:
+:func:`install` attaches it, so ``run()`` drives every event through
+``step()`` and its before/after hooks.  The un-armed engine is untouched
+— zero cost when not profiling.  It composes with the sanitizer and the
+wait-for graph in any install and uninstall order.
 
 Determinism: event counts and shares are a pure function of the
 simulation and appear in the deterministic report artifact; wall-clock
@@ -30,6 +28,7 @@ from time import perf_counter
 from typing import Optional
 
 from ..sim.events import NO_CALLBACKS
+from ..sim.scheduler import Environment, Observer
 
 __all__ = ["ACTIVE", "EngineProfiler", "install", "uninstall", "installed"]
 
@@ -46,10 +45,11 @@ def _short_path(filename: str) -> str:
     return parts[-1]
 
 
-class EngineProfiler:
+class EngineProfiler(Observer):
     """Per-callback-site event counts and wall-clock attribution."""
 
-    __slots__ = ("sites", "events_total", "wall_total_s", "_code_labels")
+    __slots__ = ("sites", "events_total", "wall_total_s", "_code_labels",
+                 "_pending")
 
     def __init__(self) -> None:
         #: site label -> [events, wall_seconds].  Keyspace is bounded by
@@ -58,6 +58,9 @@ class EngineProfiler:
         self.events_total = 0
         self.wall_total_s = 0.0
         self._code_labels: dict[int, str] = {}
+        #: (site, start time) per step in progress; a stack because a
+        #: callback may itself step the engine.
+        self._pending: list = []
 
     # -- attribution -------------------------------------------------------
 
@@ -83,15 +86,27 @@ class EngineProfiler:
         if callback is None:
             return "(engine) no-callback"
         # A process resume: attribute to the generator actually running,
-        # not the Process._step trampoline every resume shares.
+        # not the Process._step trampoline every resume shares — and,
+        # through ``yield from`` chains, to the innermost generator, which
+        # is the one that yielded the event.
         owner = getattr(callback, "__self__", None)
         generator = getattr(owner, "_generator", None)
         if generator is not None and hasattr(generator, "gi_code"):
+            inner = generator.gi_yieldfrom
+            while hasattr(inner, "gi_code"):
+                generator, inner = inner, inner.gi_yieldfrom
             return self._label_for_code(generator.gi_code)
         code = getattr(callback, "__code__", None)
         if code is not None:
             return self._label_for_code(code)
         return type(callback).__qualname__
+
+    def before_step(self, env, entry) -> None:
+        self._pending.append((self.site_of(entry[3]), perf_counter()))
+
+    def after_step(self, env, entry) -> None:
+        site, started = self._pending.pop()
+        self.record(site, perf_counter() - started)
 
     def record(self, site: str, wall_s: float) -> None:
         entry = self.sites.get(site)
@@ -144,121 +159,32 @@ class EngineProfiler:
         return len(self.sites) + len(self._code_labels)
 
 
-# -- engine instrumentation (sanitizer-style monkeypatch) -------------------
-
-
-class _State:
-    __slots__ = ("orig_step", "orig_run")
-
-    def __init__(self, orig_step, orig_run) -> None:
-        self.orig_step = orig_step
-        self.orig_run = orig_run
-
-
-_state: Optional[_State] = None
+# -- install / uninstall ------------------------------------------------------
 
 
 def installed() -> bool:
-    return _state is not None
-
-
-def _peek_event(env):
-    """Front event of the globally sorted merge of the three queues."""
-    best = None
-    if env._ready:
-        best = env._ready[0]
-    if env._tail and (best is None or env._tail[0] < best):
-        best = env._tail[0]
-    if env._queue and (best is None or env._queue[0] < best):
-        best = env._queue[0]
-    return best[3] if best is not None else None
-
-
-def _profiled_step(self) -> None:
-    profiler = ACTIVE
-    if profiler is None:
-        _state.orig_step(self)
-        return
-    event = _peek_event(self)
-    if event is None:
-        # Let the original raise EmptySchedule with its own message.
-        _state.orig_step(self)
-        return
-    site = profiler.site_of(event)
-    started = perf_counter()
-    try:
-        _state.orig_step(self)
-    finally:
-        profiler.record(site, perf_counter() - started)
-
-
-def _profiled_run(self, until=None):
-    """Re-route run()'s inlined drain loop through (profiled) step().
-
-    Mirrors the sanitizer's wrapper: the numeric-``until`` path already
-    calls ``self.step()`` per event, so it is delegated unchanged.
-    """
-    from ..sim.events import Event
-    from ..sim.scheduler import StopSimulation
-
-    if until is not None and not isinstance(until, Event):
-        return _state.orig_run(self, until)
-
-    stop_event = None
-    if until is not None:
-        stop_event = until
-        if stop_event.processed:
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        stop_event._add_callback(self._stop_on)
-
-    try:
-        while self._ready or self._tail or self._queue:
-            self.step()
-    except StopSimulation as stop:
-        event = stop.args[0]
-        if event._ok:
-            return event._value
-        raise event._value from None
-
-    if stop_event is not None:
-        if not stop_event.processed:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event "
-                "triggered"
-            )
-        if stop_event._ok:
-            return stop_event._value
-        raise stop_event._value
-    return None
+    return ACTIVE is not None
 
 
 def install(profiler: Optional[EngineProfiler] = None) -> EngineProfiler:
-    """Arm the profiler (idempotent; returns the active profiler)."""
-    global ACTIVE, _state
-    if _state is not None:
-        if profiler is not None:
-            ACTIVE = profiler
-        return ACTIVE
-    from ..sim.scheduler import Environment
+    """Arm the profiler (idempotent; returns the active profiler).
 
+    Passing a profiler while one is armed swaps it in.
+    """
+    global ACTIVE
+    if ACTIVE is not None:
+        if profiler is None or profiler is ACTIVE:
+            return ACTIVE
+        Environment.detach(ACTIVE)
     ACTIVE = profiler if profiler is not None else EngineProfiler()
-    _state = _State(Environment.step, Environment.run)
-    Environment.step = _profiled_step
-    Environment.run = _profiled_run
+    Environment.attach(ACTIVE)
     return ACTIVE
 
 
 def uninstall() -> Optional[EngineProfiler]:
-    """Restore the engine fast paths; returns the profiler for reading."""
-    global ACTIVE, _state
-    if _state is None:
-        return None
-    from ..sim.scheduler import Environment
-
-    Environment.step = _state.orig_step
-    Environment.run = _state.orig_run
-    _state = None
+    """Detach the profiler; returns it for reading."""
+    global ACTIVE
     profiler, ACTIVE = ACTIVE, None
+    if profiler is not None:
+        Environment.detach(profiler)
     return profiler

@@ -57,6 +57,8 @@ class KeyValueStoreApp:
         self.gets_served = 0
         self.puts_served = 0
         self.get_latencies = Series()
+        #: Clients created so far; numbers each client's key stream.
+        self.clients_created = 0
         self._listener = self.layer.listen(server, port)
         self.env.process(self._accept_loop())
 
@@ -102,7 +104,11 @@ class KvClient:
         self.app = app
         self.sock = sock
         self.env = app.env
-        self.rng = RandomStream(0, f"kv-{id(self)}")
+        # Named from the app and the client's ordinal, so identically
+        # built runs draw identical keys.
+        app.clients_created += 1
+        self.rng = RandomStream(
+            0, f"kv-{app.server.name}:{app.port}/{app.clients_created}")
 
     def put(self, key: int, value: str):
         """Generator: PUT one key."""

@@ -1,12 +1,12 @@
 """Instrumentation composition: sanitizer + profiler + wait-for graph.
 
-All three instruments monkeypatch the same engine entry points
-(``Environment.run`` and friends) by saving whatever they find at
-install time.  That makes them composable in ANY install order as long
-as uninstalls run LIFO — each layer restores exactly what it wrapped.
-This file runs one workload under every permutation and proves (a)
-every instrument observes the run, and (b) LIFO teardown restores the
-pristine class methods.
+All three instruments attach an observer to the engine
+(``Environment.attach``) instead of replacing its methods, so they must
+compose in ANY install order and unwind in ANY uninstall order.  This
+file runs one workload under every install permutation crossed with
+every uninstall permutation and proves (a) every instrument observes the
+run, (b) teardown leaves no observer attached, and (c) no class method
+of the engine was ever touched.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from repro.sim import Environment
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, Tank
 from repro.telemetry import profiler as profiler_mod
+
+PRISTINE_STEP = Environment.__dict__["step"]
+PRISTINE_RUN = Environment.__dict__["run"]
+PRISTINE_PROCESS_STEP = Process.__dict__["_step"]
 
 
 def _run_workload():
@@ -53,6 +57,7 @@ def _run_workload():
     env.process(producer())
     env.run()
     assert got == ["payload"]
+    return env
 
 
 INSTRUMENTS = {
@@ -60,71 +65,70 @@ INSTRUMENTS = {
     "profiler": (profiler_mod.install, profiler_mod.uninstall),
     "waitfor": (waitfor.install, waitfor.uninstall),
 }
+ORDERS = list(itertools.permutations(INSTRUMENTS))
 
 
 @pytest.fixture
 def bare_engine():
     """Run the test with all suite-wide instrumentation stripped, so
-    install-order permutations start from (and must restore) the
-    pristine class methods."""
+    every permutation starts from (and must return to) an engine with no
+    observers."""
     had_sanitizer = sanitizer.installed()
     had_waitfor = waitfor.installed()
-    had_profiler = profiler_mod.installed()
-    saved_profiler = profiler_mod.uninstall() if had_profiler else None
-    # LIFO relative to the REPRO_* arming order (sanitizer, then waitfor).
-    if had_waitfor:
-        waitfor.uninstall()
-    if had_sanitizer:
-        sanitizer.uninstall()
+    saved_profiler = profiler_mod.uninstall()
+    waitfor.uninstall()
+    sanitizer.uninstall()
+    assert Environment._observers == ()
     yield
     if had_sanitizer:
         sanitizer.install()
     if had_waitfor:
         waitfor.install()
-    if had_profiler:
+    if saved_profiler is not None:
         profiler_mod.install(saved_profiler)
 
 
-@pytest.mark.parametrize(
-    "order", list(itertools.permutations(INSTRUMENTS)),
-    ids="+".join,
-)
-def test_any_install_order_composes_and_unwinds(order, bare_engine):
-    pristine_step = Environment.step
-    pristine_run = Environment.run
-    pristine_process_step = Process._step
+@pytest.mark.parametrize("setup", ORDERS, ids="+".join)
+def test_any_install_order_composes_and_unwinds(setup, bare_engine):
+    """Install in ``setup`` order, then uninstall in each of the six
+    orders in turn (36 install x uninstall cases in all)."""
+    for teardown in ORDERS:
+        profiler = None
+        for name in setup:
+            result = INSTRUMENTS[name][0]()
+            if name == "profiler":
+                profiler = result
+        assert len(Environment._observers) == 3
+        try:
+            env = _run_workload()
+            assert sanitizer.stats()["engine_step"] == env.events_processed
+            assert profiler.events_total == env.events_processed
+            assert waitfor.stats()["parks"] >= 1
+            assert waitfor.stats()["violations"] == 0
+        finally:
+            for name in teardown:
+                INSTRUMENTS[name][1]()
 
-    profiler = None
-    for name in order:
-        result = INSTRUMENTS[name][0]()
-        if name == "profiler":
-            profiler = result
-    try:
-        _run_workload()
-        assert sanitizer.stats()["engine_step"] > 0
-        assert profiler.events_total > 0
-        assert waitfor.stats()["parks"] >= 1
-        assert waitfor.stats()["violations"] == 0
-    finally:
-        for name in reversed(order):
-            INSTRUMENTS[name][1]()
-
-    assert Environment.step is pristine_step
-    assert Environment.run is pristine_run
-    assert Process._step is pristine_process_step
-    assert not sanitizer.installed()
-    assert not profiler_mod.installed()
-    assert not waitfor.installed()
+        assert Environment._observers == (), teardown
+        assert Environment.__dict__["step"] is PRISTINE_STEP
+        assert Environment.__dict__["run"] is PRISTINE_RUN
+        assert Process.__dict__["_step"] is PRISTINE_PROCESS_STEP
+        assert not sanitizer.installed()
+        assert not profiler_mod.installed()
+        assert not waitfor.installed()
 
 
-def test_nested_uninstall_mid_stack_leaves_outer_layers_working(bare_engine):
+def test_nested_uninstall_mid_stack_leaves_outer_layers_working(
+        bare_engine):
     """The chaos runner arms waitfor inside an already-sanitized run and
-    removes it first — the realistic partial unwind."""
+    removes it first; removing the sanitizer first must leave waitfor
+    working just the same."""
     sanitizer.install()
     waitfor.install()
     _run_workload()
-    waitfor.uninstall()
-    _run_workload()  # sanitizer must still be live and functional
-    assert sanitizer.stats()["engine_step"] > 0
     sanitizer.uninstall()
-    assert not sanitizer.installed()
+    waitfor.reset_stats()
+    _run_workload()  # waitfor must still be live and functional
+    assert waitfor.stats()["parks"] >= 1
+    waitfor.uninstall()
+    assert Environment._observers == ()

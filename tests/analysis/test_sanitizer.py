@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import sanitizer, waitfor
+from repro.analysis import sanitizer
 from repro.core.flows import ChannelFactory, FlowConnection, FlowState
 from repro.errors import SanitizerViolation
 from repro.sim import Environment
@@ -31,20 +31,6 @@ def sanitized():
         sanitizer.uninstall()
 
 
-@pytest.fixture
-def waitfor_peeled():
-    """Tests that uninstall/reinstall the sanitizer must unwind LIFO:
-    when the suite armed the wait-for graph on top (REPRO_WAITFOR=1),
-    peel it first and put it back after, or the sanitizer's uninstall
-    would restore ``Environment.run`` out from under waitfor's wrapper."""
-    had_waitfor = waitfor.installed()
-    if had_waitfor:
-        waitfor.uninstall()
-    yield
-    if had_waitfor:
-        waitfor.install()
-
-
 def pingpong_workload(env: Environment) -> float:
     def proc():
         for _ in range(50):
@@ -57,7 +43,7 @@ def pingpong_workload(env: Environment) -> float:
 # -- engine checks -----------------------------------------------------------
 
 
-def test_sanitized_run_matches_unsanitized_engine(waitfor_peeled, sanitized):
+def test_sanitized_run_matches_unsanitized_engine(sanitized):
     env = Environment()
     result = pingpong_workload(env)
     processed = env.events_processed
@@ -181,7 +167,7 @@ def test_flow_state_guard_allows_transition_api_only(sanitized):
     assert flow.state is FlowState.ACTIVE
 
 
-def test_flow_created_before_install_still_guarded(waitfor_peeled):
+def test_flow_created_before_install_still_guarded():
     was_installed = sanitizer.installed()
     if was_installed:
         sanitizer.uninstall()
@@ -199,19 +185,18 @@ def test_flow_created_before_install_still_guarded(waitfor_peeled):
 # -- install / uninstall -----------------------------------------------------
 
 
-def test_install_is_idempotent_and_uninstall_restores(waitfor_peeled):
+def test_install_is_idempotent_and_uninstall_restores():
     was_installed = sanitizer.installed()
     if was_installed:
         sanitizer.uninstall()
-    plain_step = Environment.step
-    plain_run = Environment.run
     try:
         sanitizer.install()
-        sanitizer.install()  # no-op, must not re-wrap
-        assert Environment.step is not plain_step
+        observer = sanitizer._state
+        sanitizer.install()  # no-op, must not attach a second observer
+        assert sanitizer._state is observer
+        assert Environment._observers.count(observer) == 1
         sanitizer.uninstall()
-        assert Environment.step is plain_step
-        assert Environment.run is plain_run
+        assert observer not in Environment._observers
         assert not hasattr(FlowConnection, "state") or (
             not isinstance(FlowConnection.__dict__.get("state"), property))
         # A flow created while armed keeps a readable plain attribute.

@@ -229,19 +229,20 @@ def test_live_report_names_store_wait(armed):
 
 def test_install_is_idempotent_and_uninstall_restores():
     was_installed = waitfor.installed()
-    if was_installed:
-        pytest.skip("suite runs with REPRO_WAITFOR=1; lifecycle covered "
-                    "by test_instrumentation.py permutations")
-    pristine_run = Environment.run
-    pristine_get = Tank.get
-    waitfor.install()
-    waitfor.install()  # no double-wrap
-    assert waitfor.installed()
     waitfor.uninstall()
-    waitfor.uninstall()  # no-op
-    assert not waitfor.installed()
-    assert Environment.run is pristine_run
-    assert Tank.get is pristine_get
+    try:
+        waitfor.install()
+        observer = waitfor._state
+        waitfor.install()  # no second observer
+        assert waitfor.installed()
+        assert Environment._observers.count(observer) == 1
+        waitfor.uninstall()
+        waitfor.uninstall()  # no-op
+        assert not waitfor.installed()
+        assert observer not in Environment._observers
+    finally:
+        if was_installed:
+            waitfor.install()
 
 
 def test_report_when_not_installed():

@@ -61,6 +61,39 @@ def test_zipf_index_range_and_skew():
     assert counts[0] > counts[9] * 2
 
 
+def _zipf_index_reference(rng, n, skew):
+    """The original O(n)-per-draw linear scan, kept as the reference."""
+    weights = [1.0 / (i + 1) ** skew for i in range(n)]
+    total = sum(weights)
+    point = rng.uniform(0, total)
+    acc = 0.0
+    for index, weight in enumerate(weights):
+        acc += weight
+        if point <= acc:
+            return index
+    return n - 1
+
+
+@pytest.mark.parametrize("n,skew", [(1, 1.0), (2, 0.5), (10, 1.0),
+                                    (1000, 0.99), (5000, 1.2), (64, 0.0)])
+def test_zipf_index_draws_match_linear_scan(n, skew):
+    fast = RandomStream(11, f"zipf-{n}-{skew}")
+    slow = RandomStream(11, f"zipf-{n}-{skew}")
+    draws = 2000 if n >= 1000 else 20000
+    got = [fast.zipf_index(n, skew) for _ in range(draws)]
+    want = [_zipf_index_reference(slow._rng, n, skew) for _ in range(draws)]
+    assert got == want
+
+
+def test_zipf_index_interleaved_pairs_match_linear_scan():
+    """Alternating (n, skew) pairs on one stream keep one cache each."""
+    fast = RandomStream(5, "mixed")
+    slow = RandomStream(5, "mixed")
+    pairs = [(7, 1.0), (300, 0.8), (7, 1.0), (300, 1.1)] * 500
+    assert [fast.zipf_index(n, s) for n, s in pairs] == [
+        _zipf_index_reference(slow._rng, n, s) for n, s in pairs]
+
+
 def test_zipf_bad_n():
     with pytest.raises(ValueError):
         RandomStream(0).zipf_index(0)

@@ -284,3 +284,93 @@ class TestBatchedSameTimestampDrain:
         while stepped.peek() != float("inf"):
             stepped.step()
         assert run_log == step_log
+
+
+class TestBoundedRunMatchesStepping:
+    """``run(until=<number>)`` in chunks must pop events in exactly the
+    order of stepping one event at a time — with and without an observer
+    attached (which switches run() to its checked loop)."""
+
+    @staticmethod
+    def _workload(env, log):
+        from repro.sim import Interrupt
+
+        def victim():
+            try:
+                yield env.timeout(2.5)  # abandoned, but still queued
+            except Interrupt:
+                log.append((env.now, "interrupted"))
+            yield env.timeout(0.5)
+            log.append((env.now, "victim-done"))
+
+        proc = env.process(victim())
+
+        def at_bound():
+            yield env.timeout(1.0)  # exactly at the first chunk's bound
+            log.append((env.now, "at-bound"))
+            # A same-timestamp ready batch, with an URGENT interrupt
+            # raised from inside it.
+            for i in range(4):
+                ev = env.event()
+                ev.succeed()
+                ev.callbacks.append(
+                    lambda _e, i=i: log.append((env.now, f"ready{i}")))
+                if i == 1:
+                    proc.interrupt()
+            yield env.timeout(0)
+            log.append((env.now, "after-batch"))
+
+        def ticker():
+            for _ in range(6):
+                yield env.timeout(0.25)
+                log.append((env.now, "tick"))
+
+        env.process(at_bound())
+        env.process(ticker())
+        late = env.timeout(2.75)
+        late.callbacks.append(lambda _e: log.append((env.now, "late")))
+        # A future URGENT entry: the only way the heap alone can hold
+        # an entry beyond the bound.
+        from repro.sim.scheduler import URGENT
+
+        urgent = env.event()
+        urgent._ok, urgent._value = True, None
+        urgent.callbacks.append(lambda _e: log.append((env.now, "urgent")))
+        env.schedule(urgent, 3.0, priority=URGENT)
+
+    def _stepped(self):
+        env = Environment()
+        log = []
+        self._workload(env, log)
+        while env.peek() != float("inf"):
+            env.step()
+        return log, env.events_processed
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_chunked_run_pops_in_step_order(self, observed):
+        from repro.sim.scheduler import Observer
+
+        observer = Observer()
+        if observed:
+            Environment.attach(observer)
+        try:
+            env = Environment()
+            log = []
+            self._workload(env, log)
+            for bound in (0.5, 1.0, 1.0, 1.25, 2.0, 2.75):
+                env.run(until=bound)
+                assert env.now == bound
+                assert env.peek() > bound
+                assert all(t <= bound for t, _ in log)
+            env.run()
+        finally:
+            Environment.detach(observer)
+
+        step_log, step_events = self._stepped()
+        assert log == step_log
+        assert env.events_processed == step_events
+        # Heap order at t=1.0: the URGENT interrupt preempts the older
+        # tick, which (smaller eid) precedes the ready batch.
+        at_one = [name for t, name in log if t == 1.0]
+        assert at_one == ["at-bound", "interrupted", "tick", "ready0",
+                          "ready1", "ready2", "ready3", "after-batch"]

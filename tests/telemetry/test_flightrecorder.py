@@ -228,6 +228,32 @@ def test_profiler_attributes_to_generator_sites():
                for r in records)  # wall-clock excluded: deterministic
 
 
+def test_profiler_bills_the_innermost_yield_from_generator():
+    env = Environment()
+
+    def paced_helper():
+        for _ in range(3):
+            yield env.timeout(1e-6)
+
+    def caller():
+        yield from paced_helper()
+
+    profiler = profiler_module.install()
+    try:
+        env.process(caller())
+        env.run()
+    finally:
+        profiler_module.uninstall()
+    helper_sites = [site for site in profiler.sites
+                    if site.endswith("paced_helper")]
+    assert len(helper_sites) == 1
+    assert profiler.sites[helper_sites[0]][0] == 3
+    # The caller is billed only for its start, before the yield from.
+    caller_sites = [site for site in profiler.sites
+                    if site.endswith("<locals>.caller")]
+    assert [profiler.sites[site][0] for site in caller_sites] == [1]
+
+
 def test_profiler_event_counts_are_deterministic():
     def run_once():
         profiler = profiler_module.install()
@@ -243,14 +269,14 @@ def test_profiler_event_counts_are_deterministic():
 def test_profiler_install_uninstall_idempotent_and_restores_engine():
     from repro.sim.scheduler import Environment as Engine
 
-    orig_step, orig_run = Engine.step, Engine.run
     first = profiler_module.install()
     again = profiler_module.install()
     assert first is again
     assert profiler_module.installed()
+    assert Engine._observers.count(first) == 1
     profiler_module.uninstall()
     assert profiler_module.uninstall() is None
-    assert Engine.step is orig_step and Engine.run is orig_run
+    assert first not in Engine._observers
     assert not profiler_module.installed()
 
 
@@ -264,8 +290,7 @@ def test_profiler_composes_with_sanitizer():
         assert _tiny_sim() == 5
     finally:
         profiler_module.uninstall()
-        # Leave a suite-wide REPRO_SANITIZE=1 arming in place — and
-        # never uninstall out of order under a REPRO_WAITFOR=1 layer.
+        # Leave a suite-wide REPRO_SANITIZE=1 arming in place.
         if not had_sanitizer:
             sanitizer.uninstall()
     assert profiler.events_total > 0

@@ -145,3 +145,39 @@ class TestParameterServer:
 
         runner(flow_big())
         assert big.stats.step_times.mean() > small_time
+
+
+def _build_kv_app():
+    from repro import quickstart_cluster
+
+    env, cluster, network = quickstart_cluster(hosts=2)
+    server = cluster.submit(ContainerSpec("kv-server", pinned_host="host0"))
+    client_box = cluster.submit(ContainerSpec("kv-client", pinned_host="host1"))
+    for container in (server, client_box):
+        network.attach(container)
+    return env, KeyValueStoreApp(network, server, keys=512), client_box
+
+
+def _draw_keys(env, app, client_box, draws=40):
+    keys = []
+
+    def flow():
+        first = yield from app.client(client_box)
+        second = yield from app.client(client_box)
+        for _ in range(draws):
+            keys.append((first.rng.zipf_index(app.keys, app.zipf_skew),
+                         second.rng.zipf_index(app.keys, app.zipf_skew)))
+
+    env.run(until=env.process(flow()))
+    return keys
+
+
+def test_identically_built_kv_apps_draw_the_same_keys():
+    # Both apps stay alive, so no object identity can repeat between them.
+    one = _build_kv_app()
+    two = _build_kv_app()
+    keys_one = _draw_keys(*one)
+    keys_two = _draw_keys(*two)
+    assert keys_one == keys_two
+    # Each client of one app still gets its own stream.
+    assert [a for a, _ in keys_one] != [b for _, b in keys_one]
