@@ -12,8 +12,9 @@ or manually assigned by containers' configurations").
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import AddressError, AddressExhausted
 
@@ -26,6 +27,12 @@ class IpPool:
     Addresses are handed out in order, lowest-free-first, and released
     addresses are reused — matching the behaviour of the DHCP-style agent
     allocation the paper describes.
+
+    Allocation is O(log n) amortised, not a scan from the bottom of the
+    subnet: a cursor marks the lowest offset never handed out, and a
+    min-heap holds the released offsets below it.  Pinned addresses stay
+    in ``_allocated`` and are skipped when the cursor or the heap meets
+    them.
     """
 
     def __init__(self, cidr: str = "10.32.0.0/16") -> None:
@@ -42,6 +49,12 @@ class IpPool:
             str(self.network.broadcast_address),
             str(self.network.network_address + 1),
         }
+        # Assignable offsets run from 2 (above the gateway) to the one
+        # below the broadcast address.  Every offset under the cursor is
+        # either in _allocated or in the _released heap.
+        self._cursor = 2
+        self._last = self.network.num_addresses - 2
+        self._released: list[int] = []
 
     @property
     def cidr(self) -> str:
@@ -66,11 +79,12 @@ class IpPool:
         except ValueError:
             return False
 
-    def _candidates(self) -> Iterator[str]:
-        for address in self.network.hosts():
-            text = str(address)
-            if text not in self._reserved:
-                yield text
+    def _take(self, offset: int) -> Optional[str]:
+        text = str(self.network.network_address + offset)
+        if text in self._allocated:
+            return None
+        self._allocated.add(text)
+        return text
 
     def allocate(self, requested: Optional[str] = None) -> str:
         """Grab a free address (or pin ``requested`` if it is free)."""
@@ -85,10 +99,18 @@ class IpPool:
                 raise AddressError(f"{requested} is already allocated")
             self._allocated.add(requested)
             return requested
-        for candidate in self._candidates():
-            if candidate not in self._allocated:
-                self._allocated.add(candidate)
-                return candidate
+        released = self._released
+        while released:
+            # A released offset may since have been pinned (or pushed
+            # twice); such stale entries are dropped here.
+            text = self._take(heapq.heappop(released))
+            if text is not None:
+                return text
+        while self._cursor <= self._last:
+            text = self._take(self._cursor)
+            self._cursor += 1
+            if text is not None:
+                return text
         raise AddressExhausted(f"no free addresses in {self.cidr}")
 
     def release(self, ip: str) -> None:
@@ -96,6 +118,9 @@ class IpPool:
         if ip not in self._allocated:
             raise AddressError(f"{ip} was not allocated from {self.cidr}")
         self._allocated.remove(ip)
+        offset = int(ipaddress.ip_address(ip)) - int(self.network.network_address)
+        if 2 <= offset < self._cursor:
+            heapq.heappush(self._released, offset)
 
 
 class OverlaySubnets:

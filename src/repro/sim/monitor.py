@@ -184,7 +184,10 @@ class StreamingSeries:
     are computed over a fixed-size uniform random sample maintained with
     Vitter's Algorithm R, so memory stays O(``reservoir``) no matter how
     many samples arrive.  The replacement RNG is seeded per instance, so
-    two identical runs sample identically (simulation determinism).
+    two identical runs sample identically (simulation determinism).  It
+    is built on the first overflow of the reservoir, since no draw is
+    made before then; most series never overflow and never pay for its
+    Mersenne Twister state.
 
     Drop-in for the common :class:`Series` surface: ``len()`` reports the
     *total* stream count, and ``append`` aliases ``add`` for callers that
@@ -193,7 +196,7 @@ class StreamingSeries:
 
     __slots__ = (
         "_count", "_total", "_min", "_max",
-        "_capacity", "_reservoir", "_rng", "_sorted",
+        "_capacity", "_reservoir", "_seed", "_rng", "_sorted",
     )
 
     #: Default reservoir size: percentile error ~1/sqrt(1024) ≈ 3%.
@@ -210,7 +213,8 @@ class StreamingSeries:
         self._reservoir: list[float] = []
         # Replacement draws come from a seeded repro.sim.rand stream
         # (SIM001): identical runs keep identical reservoirs.
-        self._rng = RandomStream(seed, "reservoir")
+        self._seed = seed
+        self._rng: Optional[RandomStream] = None
         self._sorted: Optional[list[float]] = None
 
     def __len__(self) -> int:
@@ -235,7 +239,10 @@ class StreamingSeries:
         else:
             # Algorithm R: keep each of the n samples with equal
             # probability k/n by replacing a random slot.
-            j = self._rng.randrange(self._count)
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = RandomStream(self._seed, "reservoir")
+            j = rng.randrange(self._count)
             if j < self._capacity:
                 reservoir[j] = sample
             else:

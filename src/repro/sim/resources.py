@@ -26,6 +26,14 @@ Queued waiters always win over a newcomer — the fast path is only taken
 when the relevant wait queue is empty, so FIFO ordering and the
 no-starvation property are preserved exactly (see
 ``tests/sim/test_resources.py::TestStoreFastPath``).
+
+Memory notes: the wait queues (``Store._put_queue``/``_get_queue``,
+``Tank._puts``/``_gets``, ``Resource.queue``) are plain lists, not
+deques.  A simulated flow builds over a dozen stores and tanks, most of
+whose queues never hold a waiter and the rest one parked worker; an
+empty list costs 56 B against 760 B for an empty deque, and ``pop(0)``
+on a queue that short is as cheap as ``popleft``.  Only ``Store.items``,
+the data buffer that runs deep under load, stays a deque.
 """
 
 from __future__ import annotations
@@ -258,8 +266,8 @@ class Store:
         self.label = label
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
+        self._put_queue: list[StorePut] = []
+        self._get_queue: list[StoreGet] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -302,6 +310,13 @@ class Store:
             self._trigger()
         return items
 
+    def fail_getters(self, exception: BaseException) -> None:
+        """Fail every parked get with ``exception``, in FIFO order."""
+        pending = self._get_queue
+        self._get_queue = []
+        for get in pending:
+            get.fail(exception)
+
     # -- internals --------------------------------------------------------
 
     def _trigger(self) -> None:
@@ -310,7 +325,7 @@ class Store:
             progressed = False
             # Admit puts while capacity allows.
             while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
+                put = self._put_queue.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progressed = True
@@ -391,8 +406,8 @@ class Tank:
         self.label = label
         self.capacity = capacity
         self._level = float(initial)
-        self._puts: Deque[TankPut] = deque()
-        self._gets: Deque[TankGet] = deque()
+        self._puts: list[TankPut] = []
+        self._gets: list[TankGet] = []
 
     @property
     def level(self) -> float:
@@ -444,14 +459,14 @@ class Tank:
             if self._puts:
                 put = self._puts[0]
                 if self._level + put.amount <= self.capacity:
-                    self._puts.popleft()
+                    self._puts.pop(0)
                     self._level += put.amount
                     put.succeed()
                     progressed = True
             if self._gets:
                 get = self._gets[0]
                 if self._level >= get.amount:
-                    self._gets.popleft()
+                    self._gets.pop(0)
                     self._level -= get.amount
                     get.succeed()
                     progressed = True

@@ -183,10 +183,7 @@ class Lane:
         parked receivers are woken with :class:`ChannelRebound` and retry
         against the new channel.
         """
-        pending = list(self.inbox._get_queue)
-        self.inbox._get_queue.clear()
-        for get in pending:
-            get.fail(exception)
+        self.inbox.fail_getters(exception)
 
     def close(self) -> None:
         self.closed = True

@@ -1,9 +1,42 @@
 """Unit tests for the IPAM."""
 
+import ipaddress
+
 import pytest
 
 from repro.errors import AddressError, AddressExhausted
 from repro.netstack import IpPool, OverlaySubnets
+from repro.sim.rand import RandomStream
+
+
+class ScanPool(IpPool):
+    """Reference IPAM: scan the subnet from the bottom on every call.
+
+    This is the original O(n)-per-call allocator; the cursor-and-heap
+    pool must hand out exactly the addresses it would.
+    """
+
+    def allocate(self, requested=None):
+        if requested is not None:
+            return super().allocate(requested)
+        for address in self.network.hosts():
+            text = str(address)
+            if text not in self._reserved and text not in self._allocated:
+                self._allocated.add(text)
+                return text
+        raise AddressExhausted(f"no free addresses in {self.cidr}")
+
+    def release(self, ip):
+        if ip not in self._allocated:
+            raise AddressError(f"{ip} was not allocated from {self.cidr}")
+        self._allocated.remove(ip)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except AddressError as exc:
+        return type(exc).__name__
 
 
 class TestIpPool:
@@ -69,6 +102,60 @@ class TestIpPool:
         assert ip in pool.allocated
         with pytest.raises(AttributeError):
             pool.allocated.add("x")
+
+
+class TestIpPoolMatchesScan:
+    """Random allocate/release/pin sequences against the reference scan."""
+
+    @pytest.mark.parametrize("cidr", ["10.32.0.0/27", "10.32.0.0/30",
+                                      "fd00::/123"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequences_match_reference(self, cidr, seed):
+        rng = RandomStream(seed, "test.ipam")
+        pool, reference = IpPool(cidr), ScanPool(cidr)
+        network = ipaddress.ip_network(cidr)
+        live = []
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.5:
+                got = _outcome(pool.allocate)
+                assert got == _outcome(reference.allocate)
+            elif roll < 0.65:
+                # Pin any address of the subnet, free or not, reserved
+                # or not: both pools must agree on accept or refuse.
+                ip = str(network.network_address
+                         + rng.randrange(network.num_addresses))
+                got = _outcome(pool.allocate, ip)
+                assert got == _outcome(reference.allocate, ip)
+            elif live:
+                got = live.pop(rng.randrange(len(live)))
+                pool.release(got)
+                reference.release(got)
+                continue
+            else:
+                continue
+            if not got.startswith("Address"):
+                live.append(got)
+            assert pool.allocated == reference.allocated
+
+    def test_fleet_sized_pool_allocates_in_order(self):
+        pool = IpPool("10.32.0.0/16")
+        ips = [pool.allocate() for _ in range(1000)]
+        assert ips[0] == "10.32.0.2" and ips[-1] == "10.32.3.233"
+        pool.release("10.32.1.0")
+        pool.release("10.32.0.9")
+        assert pool.allocate() == "10.32.0.9"
+        assert pool.allocate() == "10.32.1.0"
+        assert pool.allocate() == "10.32.3.234"
+
+    def test_released_noncanonical_pin_of_gateway_is_not_handed_out(self):
+        # "fd00:0::1" passes the string check against the reserved
+        # "fd00::1"; once released it must not reach the allocator.
+        pool, reference = IpPool("fd00::/120"), ScanPool("fd00::/120")
+        for p in (pool, reference):
+            p.allocate("fd00:0::1")
+            p.release("fd00:0::1")
+        assert pool.allocate() == reference.allocate() == "fd00::2"
 
 
 class TestOverlaySubnets:

@@ -231,3 +231,57 @@ class TestStreamingSeries:
         assert series.percentile(50) == pytest.approx(n / 2, rel=0.15)
         summary = series.summary()
         assert summary["count"] == float(n)
+
+
+class _EagerStreamingSeries:
+    """Reference reservoir: Algorithm R with its RNG built up front."""
+
+    def __init__(self, reservoir=1024, seed=0x5EED):
+        from repro.sim.rand import RandomStream
+
+        self.capacity = reservoir
+        self.rng = RandomStream(seed, "reservoir")
+        self.count = 0
+        self.samples = []
+
+    def add(self, sample):
+        self.count += 1
+        if len(self.samples) < self.capacity:
+            self.samples.append(float(sample))
+        else:
+            j = self.rng.randrange(self.count)
+            if j < self.capacity:
+                self.samples[j] = float(sample)
+
+
+class TestStreamingSeriesLazyRng:
+    """The reservoir RNG is built on first overflow, drawing the same
+    values an RNG built in ``__init__`` would have drawn."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 20_000])
+    @pytest.mark.parametrize("seed", [0x5EED, 7])
+    def test_matches_eager_reference(self, n, seed):
+        from repro.sim import StreamingSeries
+        from repro.sim.rand import RandomStream
+
+        # 0x5EED is the default seed: cover the no-argument constructor.
+        series = StreamingSeries() if seed == 0x5EED else StreamingSeries(seed=seed)
+        reference = _EagerStreamingSeries(seed=seed)
+        values = RandomStream(n, "test.values")
+        for _ in range(n):
+            value = values.expovariate(1.0)
+            series.add(value)
+            reference.add(value)
+        assert series.samples == reference.samples
+        assert (series._rng is None) == (n <= StreamingSeries.DEFAULT_RESERVOIR)
+        if not n:
+            return
+        ordered = sorted(reference.samples)
+        plain = Series()
+        plain.extend(ordered)
+        for p in (1, 25, 50, 90, 99, 99.9):
+            assert series.percentile(p) == plain.percentile(p)
+        summary = series.summary()
+        assert summary["count"] == float(n)
+        assert summary["p50"] == plain.percentile(50)
+        assert summary["p99"] == plain.percentile(99)

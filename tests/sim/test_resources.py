@@ -474,3 +474,89 @@ class TestStoreDrain:
         store.put(2)
         env.run()
         assert got == [2]
+
+
+class TestDeepWaitQueues:
+    """Wait queues stay FIFO and abandon exactly one waiter at depth."""
+
+    N = 1000
+    VICTIM = 500
+
+    def _park(self, env, wait, victim=None):
+        """Start N processes that each block on ``wait(i)``; interrupt
+        the ``victim`` one once all are parked.  Returns the wake log."""
+        from repro.sim import Interrupt
+
+        woken = []
+
+        def waiter(i):
+            try:
+                value = yield wait(i)
+            except Interrupt:
+                return
+            woken.append((i, value))
+
+        procs = [env.process(waiter(i)) for i in range(self.N)]
+        env.run()
+        if victim is not None:
+            procs[victim].interrupt()
+            env.run()
+        return woken
+
+    @pytest.mark.parametrize("victim", [None, VICTIM])
+    def test_store_getters_wake_fifo(self, env, victim):
+        store = Store(env)
+        woken = self._park(env, lambda i: store.get(), victim)
+        survivors = [i for i in range(self.N) if i != victim]
+        assert len(store._get_queue) == len(survivors)
+        for item in range(len(survivors)):
+            store.put(item)
+        env.run()
+        assert woken == list(zip(survivors, range(len(survivors))))
+        assert not store._get_queue and not store.items
+
+    @pytest.mark.parametrize("victim", [None, VICTIM])
+    def test_bounded_store_putters_wake_fifo(self, env, victim):
+        store = Store(env, capacity=1)
+        store.put("seed")
+        woken = self._park(env, store.put, victim)
+        survivors = [i for i in range(self.N) if i != victim]
+        assert len(store._put_queue) == len(survivors)
+        taken = []
+        for _ in range(len(survivors) + 1):
+            taken.append(store.try_get())
+            env.run()
+        assert taken == ["seed"] + survivors
+        assert [i for i, _ in woken] == survivors
+        assert not store._put_queue and not store.items
+
+    @pytest.mark.parametrize("victim", [None, VICTIM])
+    def test_full_tank_putters_wake_fifo(self, env, victim):
+        tank = Tank(env, capacity=1, initial=1)
+        woken = self._park(env, lambda i: tank.put(1), victim)
+        survivors = [i for i in range(self.N) if i != victim]
+        assert len(tank._puts) == len(survivors)
+        for _ in survivors:
+            tank.get(1)
+            env.run()
+        assert [i for i, _ in woken] == survivors
+        assert not tank._puts and tank.level == 1
+
+    def test_fail_getters_fails_each_parked_get_once(self, env):
+        store = Store(env)
+        failed = []
+
+        def waiter(i):
+            try:
+                yield store.get()
+            except KeyError as exc:
+                failed.append((i, exc.args[0]))
+
+        for i in range(3):
+            env.process(waiter(i))
+        env.run()
+        store.fail_getters(KeyError("rebound"))
+        env.run()
+        assert failed == [(0, "rebound"), (1, "rebound"), (2, "rebound")]
+        store.put("kept")
+        assert list(store.items) == ["kept"]
