@@ -2,18 +2,13 @@
 
 The paper's fabric assumption ("managed network fabrics") hides a
 datacenter reality: the uplinks toward the core are usually
-oversubscribed.  Two fabrics make the point:
-
-* **flat** (the pre-§16 baseline): a single switch with racks and a
-  4:1 oversubscribed 20 Gb/s core pipe — same host > same rack >
-  cross rack.
-* **fat-tree** (§16): a k=4 multi-path tree with ``core_rate_scale``
-  0.25 (10 Gb/s agg-core links, 4:1 oversubscribed).  The locality
-  ladder gains a rung — same host > same edge ≈ same pod > cross pod —
-  because the tree is non-blocking *below* the core: only traffic that
-  must climb to a core switch pays the skinny uplinks, and ECMP/flowlet
-  routing spreads it over the four equal-cost core paths without ever
-  reordering a flowlet.
+oversubscribed.  A k=4 multi-path fat-tree with ``core_rate_scale``
+0.25 (10 Gb/s agg-core links, 4:1 oversubscribed) makes the point.  The
+locality ladder is same host > same edge ≈ same pod > cross pod,
+because the tree is non-blocking *below* the core: only traffic that
+must climb to a core switch pays the skinny uplinks, and ECMP/flowlet
+routing spreads it over the four equal-cost core paths without ever
+reordering a flowlet.
 
 So placement has tiers of leverage beyond co-location: shared memory on
 one host, full NIC rate under an edge or inside a pod, the shared core
@@ -25,29 +20,14 @@ import pytest
 from repro import ContainerSpec
 from repro.cluster import ClusterOrchestrator
 from repro.core import FreeFlowNetwork
-from repro.hardware import Fabric, FatTreeFabric, Host
+from repro.hardware import FatTreeFabric, Host
 from repro.metrics import run_stream
 from repro.sim import Environment
 
 from common import fmt_table, record
 
-CORE_GBPS = 20
 #: Fat-tree agg-core capacity as a fraction of the edge links (4:1).
 CORE_RATE_SCALE = 0.25
-
-
-def _build_two_racks():
-    env = Environment()
-    fabric = Fabric(env, core_rate_bps=CORE_GBPS * 1e9)
-    cluster = ClusterOrchestrator(env)
-    hosts = []
-    for index in range(4):
-        host = Host(env, f"host{index}", fabric=fabric)
-        fabric.assign_rack(host.nic, "rack-a" if index < 2 else "rack-b")
-        cluster.add_host(host)
-        hosts.append(host)
-    network = FreeFlowNetwork(cluster)
-    return env, cluster, network, hosts, fabric
 
 
 def _build_fat_tree():
@@ -64,14 +44,9 @@ def _build_fat_tree():
     return env, cluster, network, hosts, fabric
 
 
-#: placement -> [(src host, dst host)] per fabric flavour.  Each pair
-#: gets its own sender NIC so the fabric, not a shared uplink, is what
-#: differentiates the tiers.
-FLAT_PLACEMENTS = {
-    "same host": [("host0", "host0"), ("host0", "host0")],
-    "same rack": [("host0", "host1"), ("host0", "host1")],
-    "cross rack": [("host0", "host2"), ("host1", "host3")],
-}
+#: placement -> [(src host, dst host)].  Each pair gets its own sender
+#: NIC so the fabric, not a shared uplink, is what differentiates the
+#: tiers.
 TREE_PLACEMENTS = {
     "same host": [("host0", "host0"), ("host0", "host0")],
     "same edge": [("host0", "host1"), ("host1", "host0")],
@@ -80,13 +55,9 @@ TREE_PLACEMENTS = {
 }
 
 
-def _measure(flavour: str, placement: str):
-    if flavour == "flat":
-        env, cluster, network, hosts, fabric = _build_two_racks()
-        pairs = FLAT_PLACEMENTS[placement]
-    else:
-        env, cluster, network, hosts, fabric = _build_fat_tree()
-        pairs = TREE_PLACEMENTS[placement]
+def _measure(placement: str):
+    env, cluster, network, hosts, fabric = _build_fat_tree()
+    pairs = TREE_PLACEMENTS[placement]
     endpoint_pairs = []
     for i, (loc_a, loc_b) in enumerate(pairs):
         a = cluster.submit(ContainerSpec(f"a{i}", pinned_host=loc_a))
@@ -103,8 +74,7 @@ def _measure(flavour: str, placement: str):
         connection = env.run(until=env.process(go()))
         endpoint_pairs.append((connection.a, connection.b))
     result = run_stream(env, endpoint_pairs, duration_s=0.02, hosts=hosts)
-    reorders = fabric.reorders() if flavour == "fat-tree" else 0
-    return result.gbps, reorders
+    return result.gbps, fabric.reorders()
 
 
 def test_rack_locality(benchmark):
@@ -112,35 +82,25 @@ def test_rack_locality(benchmark):
     data = {}
 
     def run():
-        for flavour, placements in (("flat", FLAT_PLACEMENTS),
-                                    ("fat-tree", TREE_PLACEMENTS)):
-            for placement in placements:
-                gbps, reorders = _measure(flavour, placement)
-                data[(flavour, placement)] = (gbps, reorders)
-                rows.append([f"{flavour}: {placement}", gbps])
+        for placement in TREE_PLACEMENTS:
+            gbps, reorders = _measure(placement)
+            data[placement] = (gbps, reorders)
+            rows.append([placement, gbps])
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     record(
         "E22", "extension — 2 FreeFlow pairs per placement tier "
-               f"(flat {CORE_GBPS} Gb/s core vs fat-tree k=4 at "
-               f"{CORE_RATE_SCALE:g}x core rate)",
+               f"(fat-tree k=4 at {CORE_RATE_SCALE:g}x core rate)",
         fmt_table(["placement", "aggregate Gb/s"], rows),
         "placement leverage has tiers: shared memory on one host, full "
         "NIC rate under an edge or inside a pod, the shared "
-        "oversubscribed core between racks/pods",
+        "oversubscribed core between pods",
     )
 
-    flat = {p: data[("flat", p)][0] for p in FLAT_PLACEMENTS}
-    tree = {p: data[("fat-tree", p)][0] for p in TREE_PLACEMENTS}
+    tree = {p: data[p][0] for p in TREE_PLACEMENTS}
 
-    # -- flat baseline: the original E22 shape, unchanged.
-    assert flat["same host"] > flat["same rack"] > flat["cross rack"]
-    assert flat["cross rack"] == pytest.approx(CORE_GBPS, rel=0.12)
-    assert flat["same rack"] == pytest.approx(39, rel=0.1)
-
-    # -- fat-tree: one more rung on the ladder.
     assert tree["same host"] > tree["same edge"]
     # Non-blocking below the core: an edge hop costs no bandwidth vs
     # staying under one edge switch.

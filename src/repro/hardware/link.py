@@ -1,4 +1,4 @@
-"""Physical network fabric: links between hosts through a switch.
+"""Physical network fabric: links between hosts through switches.
 
 The default model is a non-blocking switch (standard for a managed
 datacenter fabric, which the paper assumes: "deployed over managed
@@ -7,18 +7,21 @@ contributes its own egress and ingress pipes, so the bottlenecks are the
 end links — which is where 40 Gb/s RDMA tops out — while the fabric core
 never congests.
 
-An optional **two-tier mode** models rack oversubscription: assign NICs
-to racks with :meth:`Fabric.assign_rack` and give the fabric a shared
-``core_rate_bps``; cross-rack traffic then also traverses the contended
-core pipe (plus one more switch hop), while intra-rack traffic keeps the
-non-blocking path.  This is what makes rack-locality experiments (bench
-E22) possible.
+Every topology runs on the one forwarding engine defined here: a message
+is a :class:`_Transit` that walks its route's inter-switch hops through
+per-link FIFO workers, then lands in a per-(src, dst) delivery stage
+(propagation wait, partition park, destination NIC ingress, delivery).
+The single switch is simply the route with no inter-switch hop; the
+k-ary fat-tree (:class:`~repro.hardware.topology.FatTreeFabric`) supplies
+multi-hop routes, and its ``core_rate_scale`` models an oversubscribed
+core.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
+from ..sim.resources import Store
 from ..telemetry import registry as _registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,6 +29,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from .nic import PhysicalNic
 
 __all__ = ["Fabric"]
+
+
+class _Transit:
+    """One message crossing the fabric: route + bookkeeping, mutable."""
+
+    __slots__ = ("src", "dst", "wire_bytes", "priority", "deliver", "path",
+                 "hop", "ready_at", "dst_edge", "flowlet_key", "seq")
+
+    def __init__(self, src, dst, wire_bytes, priority, deliver, path=(),
+                 dst_edge=None, flowlet_key=None, seq=0) -> None:
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.priority = priority
+        self.deliver = deliver
+        #: Inter-switch hops still to cross (empty on a single switch).
+        self.path = path
+        self.hop = 0
+        self.ready_at = 0.0
+        #: Multi-path routing state (fat-tree only): the destination
+        #: edge switch for detours, and the flowlet identity and send
+        #: sequence number the delivery-order tracer checks.
+        self.dst_edge = dst_edge
+        self.flowlet_key = flowlet_key
+        self.seq = seq
 
 
 class Fabric:
@@ -36,32 +64,19 @@ class Fabric:
         env: "Environment",
         switch_latency_s: float = 0.6e-6,
         propagation_s: float = 0.4e-6,
-        core_rate_bps: "float | None" = None,
-        core_chunk_bytes: int = 64 * 1024,
     ) -> None:
         self.env = env
         self.switch_latency_s = switch_latency_s
         self.propagation_s = propagation_s
         self._nics: list["PhysicalNic"] = []
-        #: Per-(src, dst) landing queues: arrivals at a destination NIC
+        #: Per-(src, dst) delivery queues: arrivals at a destination NIC
         #: from one source are processed strictly in order, so a small
-        #: message can never overtake a large one on the same path.
-        self._landing: dict[tuple[int, int], object] = {}
-        #: Optional two-tier mode: rack membership + shared core pipe.
-        self._racks: dict[int, str] = {}
+        #: message can never overtake a large one on the same pair.
+        self._deliveries: dict[tuple[int, int], Store] = {}
         #: Active partitions: (side_a, side_b) pairs of NIC id-sets whose
-        #: cross traffic is parked at the core stage until :meth:`heal`.
+        #: cross traffic is parked at the delivery stage until :meth:`heal`.
         self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
         self._heal_event = None
-        if core_rate_bps is not None:
-            from .bandwidth import BandwidthPipe
-
-            self.core = BandwidthPipe(
-                env, rate_bytes=core_rate_bps / 8.0,
-                chunk_bytes=core_chunk_bytes, name="fabric-core",
-            )
-        else:
-            self.core = None
         registry = _registry.ACTIVE
         if registry is not None:
             registry.register_fabric(self)
@@ -77,34 +92,13 @@ class Fabric:
     def nics(self) -> tuple["PhysicalNic", ...]:
         return tuple(self._nics)
 
-    # -- two-tier topology ---------------------------------------------------
-
-    def assign_rack(self, nic: "PhysicalNic", rack: str) -> None:
-        """Place a NIC (i.e. its host) into a rack."""
-        if nic not in self._nics:
-            raise ValueError(f"{nic!r} is not attached to this fabric")
-        self._racks[id(nic)] = rack
-
-    def rack_of(self, nic: "PhysicalNic") -> "str | None":
-        return self._racks.get(id(nic))
-
-    def crosses_core(self, src: "PhysicalNic", dst: "PhysicalNic") -> bool:
-        """True when traffic between the NICs traverses the shared core."""
-        if self.core is None:
-            return False
-        src_rack = self._racks.get(id(src))
-        dst_rack = self._racks.get(id(dst))
-        if src_rack is None or dst_rack is None:
-            return False
-        return src_rack != dst_rack
-
     # -- partitions ----------------------------------------------------------
 
     def partition(self, side_a, side_b) -> None:
         """Cut connectivity between the NICs in ``side_a`` and ``side_b``.
 
         In-flight and newly sent traffic crossing the cut is *parked* at
-        the fabric's core stage — not dropped — and resumes after
+        the fabric's delivery stage — not dropped — and resumes after
         :meth:`heal`, modelling a reliable link layer that retransmits
         until the path returns (byte conservation holds across the
         outage).  Traffic within either side is unaffected.  Multiple
@@ -136,7 +130,7 @@ class Fabric:
         return False
 
     def _healed(self):
-        """The event parked core workers wait on (created lazily)."""
+        """The event parked delivery workers wait on (created lazily)."""
         if self._heal_event is None:
             self._heal_event = self.env.event()
         return self._heal_event
@@ -145,6 +139,12 @@ class Fabric:
     def one_way_latency_s(self) -> float:
         """Propagation + switching delay, excluding serialisation."""
         return self.switch_latency_s + self.propagation_s
+
+    def _check_pair(self, src: "PhysicalNic", dst: "PhysicalNic") -> None:
+        if src.fabric is not self or dst.fabric is not self:
+            raise ValueError("both NICs must be attached to this fabric")
+        if src is dst:
+            raise ValueError("use host-local channels for loopback traffic")
 
     def send(
         self,
@@ -158,9 +158,9 @@ class Fabric:
         """Carry ``wire_bytes`` from ``src`` to ``dst`` (generator).
 
         The calling process pays the *egress* serialisation; propagation
-        and the destination's ingress happen in a spawned process so that
-        back-to-back sends pipeline, as on a real wire.  ``deliver`` is
-        invoked once the last byte has cleared the destination NIC.
+        and the destination's ingress happen in the delivery stage so
+        that back-to-back sends pipeline, as on a real wire.  ``deliver``
+        is invoked once the last byte has cleared the destination NIC.
 
         ``flow`` is an optional hashable flow identity.  The single
         switch has one path, so it is ignored here; the fat-tree
@@ -168,60 +168,79 @@ class Fabric:
         ECMP-hashes it to pick among equal-cost paths.
         """
         del flow  # single-path fabric: no routing decision to make
-        if src.fabric is not self or dst.fabric is not self:
-            raise ValueError("both NICs must be attached to this fabric")
-        if src is dst:
-            raise ValueError("use host-local channels for loopback traffic")
+        self._check_pair(src, dst)
         yield from src.egress.transfer(wire_bytes, priority=priority)
-        crosses_core = self.crosses_core(src, dst)
-        latency = self.one_way_latency_s
-        if crosses_core:
-            latency += self.switch_latency_s  # one more hop
-        queue = self._landing_queue(src, dst)
-        queue.put((self.env.now + latency, wire_bytes,
-                   priority, deliver, crosses_core))
+        self._forward(_Transit(src, dst, wire_bytes, priority, deliver))
 
-    def _landing_queue(self, src: "PhysicalNic", dst: "PhysicalNic"):
-        from ..sim.resources import Store
+    # -- the forwarding engine -----------------------------------------------
 
+    def _forward(self, transit: _Transit) -> None:
+        """Queue ``transit`` at its next hop (or the delivery stage)."""
+        transit.ready_at = self.env.now + self.one_way_latency_s
+        while transit.hop < len(transit.path):
+            link = transit.path[transit.hop]
+            if link.up:
+                link.queue.put(transit)
+                return
+            self._detour(transit)
+        self._delivery_queue(transit.src, transit.dst).put(transit)
+
+    def _link_worker(self, link):
+        """FIFO server for one directed link (store-and-forward)."""
+        while True:
+            transit = yield link.queue.get()
+            if not link.up:
+                # Drained-and-missed race guard: re-route instead of
+                # transmitting over a dead link.
+                self._detour(transit)
+                self._forward(transit)
+                continue
+            wait = transit.ready_at - self.env.now
+            if wait > 0:
+                yield self.env.timeout(wait)
+            yield from link.pipe.transfer(transit.wire_bytes,
+                                          priority=transit.priority)
+            transit.hop += 1
+            self._forward(transit)
+
+    def _delivery_queue(self, src: "PhysicalNic",
+                        dst: "PhysicalNic") -> Store:
         key = (id(src), id(dst))
-        queue = self._landing.get(key)
+        queue = self._deliveries.get(key)
         if queue is None:
-            queue = Store(self.env)
-            ingress_queue = Store(self.env)
-            self._landing[key] = queue
-            # Two chained stage workers per path: the core stage and the
-            # ingress stage pipeline across messages while each stage
-            # stays FIFO, so order is preserved at full stage rate.
-            self.env.process(self._core_worker(src, dst, queue, ingress_queue))
-            self.env.process(self._ingress_worker(dst, ingress_queue))
+            queue = self._deliveries[key] = Store(self.env)
+            self.env.process(self._delivery_worker(src, dst, queue))
         return queue
 
-    def _core_worker(self, src, dst, queue, ingress_queue):
-        """Stage 1: propagation wait + (optional) shared-core traversal.
+    def _delivery_worker(self, src, dst, queue):
+        """Per-(src, dst) final stage: propagation wait, partition park,
+        destination-NIC ingress, delivery.
 
-        While a partition cuts this (src, dst) path the worker parks on
-        the fabric's heal event, holding the message (and everything
-        queued behind it, preserving order) until connectivity returns.
+        While a partition cuts the pair the worker parks on the fabric's
+        heal event, holding the message (and everything queued behind
+        it, preserving order) until connectivity returns.
         """
         while True:
-            (arrival_at, wire_bytes, priority, deliver,
-             crosses_core) = yield queue.get()
-            wait = arrival_at - self.env.now
+            transit = yield queue.get()
+            wait = transit.ready_at - self.env.now
             if wait > 0:
                 yield self.env.timeout(wait)
             while self.partitioned(src, dst):
                 yield self._healed()
-            if crosses_core and self.core is not None:
-                yield from self.core.transfer(wire_bytes, priority=priority)
-            ingress_queue.put((wire_bytes, priority, deliver))
+            yield from dst.ingress.transfer(transit.wire_bytes,
+                                            priority=transit.priority)
+            self._delivered(transit)
+            transit.deliver()
 
-    def _ingress_worker(self, dst: "PhysicalNic", ingress_queue):
-        """Stage 2: destination-NIC ingress serialisation + delivery."""
-        while True:
-            wire_bytes, priority, deliver = yield ingress_queue.get()
-            yield from dst.ingress.transfer(wire_bytes, priority=priority)
-            deliver()
+    def _detour(self, transit: _Transit) -> None:
+        """Re-route ``transit`` around the dead link at its next hop.
+
+        The single switch has no inter-switch links to fail.
+        """
+        raise NotImplementedError
+
+    def _delivered(self, transit: _Transit) -> None:
+        """Hook run just before ``transit.deliver()``."""
 
     def path_latency(self, wire_bytes: float, rate_bytes: float) -> float:
         """Closed-form uncontended one-way latency (for sanity checks)."""

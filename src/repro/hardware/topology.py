@@ -11,16 +11,14 @@ really do halve each other.
 :class:`FatTreeFabric` keeps the existing transfer contract — callers
 still invoke ``fabric.send(src_nic, dst_nic, wire_bytes, deliver)`` and
 pay the source NIC's egress serialisation themselves — so hosts, NICs
-and every transport are untouched.  Behind that API each message:
-
-1. gets a route from the :class:`~repro.netstack.pathsel.PathSelector`
-   (ECMP on the flow key, re-hashed at flowlet boundaries);
-2. traverses the hop sequence through per-link FIFO queues, paying each
-   link's store-and-forward latency and serialisation (pipelined across
-   messages, like the base fabric's staged workers);
-3. lands in a per-(src, dst) delivery stage that honours partitions
-   (parked, not dropped — same reliable-link-layer semantics as the
-   base class) and pays the destination NIC's ingress.
+and every transport are untouched.  Each message gets a route from the
+:class:`~repro.netstack.pathsel.PathSelector` (ECMP on the flow key,
+re-hashed at flowlet boundaries) and then runs on the base fabric's
+forwarding engine: one FIFO worker per directed link pays each hop's
+store-and-forward latency and serialisation, and the per-(src, dst)
+delivery stage honours partitions and pays the destination NIC's
+ingress.  This class adds only the topology, the path selector, the
+delivery-order tracer and link failures.
 
 **Failures.** ``fail_link`` kills both directions of a cable: queued
 messages are drained and deterministically detoured, new selections
@@ -35,9 +33,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..sim.resources import Store
 from ..telemetry.registry import counter_inc
 from .bandwidth import BandwidthPipe
-from .link import Fabric
+from .link import Fabric, _Transit
 from .specs import NicSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -281,28 +280,6 @@ class FatTreeTopology:
         }
 
 
-class _Transit:
-    """One message crossing the tree: route + bookkeeping, mutable."""
-
-    __slots__ = ("src", "dst", "dst_edge", "wire_bytes", "priority",
-                 "deliver", "path", "hop", "flow_key", "flowlet_key",
-                 "seq", "ready_at")
-
-    def __init__(self, src, dst, dst_edge, wire_bytes, priority, deliver,
-                 route) -> None:
-        self.src = src
-        self.dst = dst
-        self.dst_edge = dst_edge
-        self.wire_bytes = wire_bytes
-        self.priority = priority
-        self.deliver = deliver
-        self.path = route.path
-        self.hop = 0
-        self.flowlet_key = route.flowlet_key
-        self.seq = route.seq
-        self.ready_at = 0.0
-
-
 class FlowletTracer:
     """Delivery-order watchdog for the fabric invariant.
 
@@ -377,12 +354,8 @@ class FatTreeFabric(Fabric):
         self.tracer = FlowletTracer()
         #: NIC -> attachment port (edge assignment is port-order).
         self._ports: dict[int, int] = {}
-        #: (src port, dst port) -> per-pair delivery Store.
-        self._arrivals: dict[tuple[int, int], object] = {}
         super().__init__(env, switch_latency_s=switch_latency_s,
                          propagation_s=propagation_s)
-        from ..sim.resources import Store
-
         for link in self.topology.links():
             link.queue = Store(env)
             env.process(self._link_worker(link))
@@ -428,81 +401,26 @@ class FatTreeFabric(Fabric):
         """Carry ``wire_bytes`` across the tree (generator).
 
         Same contract as :meth:`Fabric.send`: the caller pays egress
-        serialisation; the rest happens in staged workers so
-        back-to-back sends pipeline.
+        serialisation; the route's hops and the delivery stage run in
+        the base fabric's workers so back-to-back sends pipeline.
         """
-        if src.fabric is not self or dst.fabric is not self:
-            raise ValueError("both NICs must be attached to this fabric")
-        if src is dst:
-            raise ValueError("use host-local channels for loopback traffic")
+        self._check_pair(src, dst)
         yield from src.egress.transfer(wire_bytes, priority=priority)
+        dst_edge = self.edge_of(dst)
         route = self.selector.route(
-            self.env.now, self.edge_of(src), self.edge_of(dst),
+            self.env.now, self.edge_of(src), dst_edge,
             self._flow_key(src, dst, flow),
         )
-        transit = _Transit(src, dst, self.edge_of(dst), wire_bytes,
-                           priority, deliver, route)
         counter_inc("repro.fabric.messages")
-        self._forward(transit)
+        self._forward(_Transit(src, dst, wire_bytes, priority, deliver,
+                               route.path, dst_edge, route.flowlet_key,
+                               route.seq))
 
-    # -- hop machinery -------------------------------------------------------
+    def _detour(self, transit: _Transit) -> None:
+        self.selector.detour(transit, transit.hop)
 
-    def _forward(self, transit: _Transit) -> None:
-        """Queue ``transit`` at its next hop (or the delivery stage)."""
-        while transit.hop < len(transit.path):
-            link = transit.path[transit.hop]
-            if not link.up:
-                self.selector.detour(transit, transit.hop)
-                continue
-            transit.ready_at = self.env.now + self.one_way_latency_s
-            link.queue.put(transit)
-            return
-        transit.ready_at = self.env.now + self.one_way_latency_s
-        self._arrival_queue(transit.src, transit.dst).put(transit)
-
-    def _link_worker(self, link: FabricLink):
-        """FIFO server for one directed link (store-and-forward)."""
-        while True:
-            transit = yield link.queue.get()
-            if not link.up:
-                # Drained-and-missed race guard: re-route instead of
-                # transmitting over a dead link.
-                self.selector.detour(transit, transit.hop)
-                self._forward(transit)
-                continue
-            wait = transit.ready_at - self.env.now
-            if wait > 0:
-                yield self.env.timeout(wait)
-            yield from link.pipe.transfer(transit.wire_bytes,
-                                          priority=transit.priority)
-            transit.hop += 1
-            self._forward(transit)
-
-    def _arrival_queue(self, src: "PhysicalNic", dst: "PhysicalNic"):
-        """Per-(src, dst) delivery stage (partition park + NIC ingress)."""
-        from ..sim.resources import Store
-
-        key = (self._ports[id(src)], self._ports[id(dst)])
-        queue = self._arrivals.get(key)
-        if queue is None:
-            queue = Store(self.env)
-            self._arrivals[key] = queue
-            self.env.process(self._delivery_worker(src, dst, queue))
-        return queue
-
-    def _delivery_worker(self, src, dst, queue):
-        """Final stage: partition semantics, ingress wire, delivery."""
-        while True:
-            transit = yield queue.get()
-            wait = transit.ready_at - self.env.now
-            if wait > 0:
-                yield self.env.timeout(wait)
-            while self.partitioned(src, dst):
-                yield self._healed()
-            yield from dst.ingress.transfer(transit.wire_bytes,
-                                            priority=transit.priority)
-            self.tracer.observe(transit.flowlet_key, transit.seq)
-            transit.deliver()
+    def _delivered(self, transit: _Transit) -> None:
+        self.tracer.observe(transit.flowlet_key, transit.seq)
 
     # -- failures ------------------------------------------------------------
 
@@ -519,7 +437,7 @@ class FatTreeFabric(Fabric):
         counter_inc("repro.fabric.link_fails")
         for link in pair:
             for transit in link.queue.drain():
-                self.selector.detour(transit, transit.hop)
+                self._detour(transit)
                 self._forward(transit)
 
     def heal_link(self, a_name: str, b_name: str) -> None:

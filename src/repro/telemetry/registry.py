@@ -312,10 +312,9 @@ class MetricsRegistry:
                        fn=lambda t=table: float(t.transitions))
 
     def register_fabric(self, fabric) -> None:
-        """Publish the physical fabric's gauges (attached NICs, shared
-        core-pipe utilisation in two-tier mode, active partitions; on a
-        fat-tree also link counts, selector state and per-tier link
-        utilisation rollups)."""
+        """Publish the physical fabric's gauges (attached NICs, active
+        partitions; on a fat-tree also link counts, selector state and
+        per-tier link utilisation rollups)."""
         prefix = "repro.fabric"
         if f"{prefix}.nics" in self._metrics:
             return
@@ -323,11 +322,6 @@ class MetricsRegistry:
                    fn=lambda f=fabric: float(len(f.nics)))
         self.gauge(f"{prefix}.partitions",
                    fn=lambda f=fabric: float(len(f._partitions)))
-        self.gauge(
-            f"{prefix}.core_util",
-            fn=lambda f=fabric: (float(f.core.utilisation())
-                                 if f.core is not None else 0.0),
-        )
         topology = getattr(fabric, "topology", None)
         if topology is None:
             return

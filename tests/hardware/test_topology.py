@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.hardware import FatTreeFabric, FatTreeTopology, PhysicalNic
+from repro.hardware import (Fabric, FatTreeFabric, FatTreeTopology, Host,
+                            PhysicalNic, to_gbps)
 from repro.hardware.topology import FlowletTracer
 
 
@@ -267,6 +268,88 @@ def test_partition_parks_until_heal(env):
     env.run()
     assert len(delivered) == 1
     assert delivered[0] >= 1e-3
+
+
+@pytest.mark.parametrize("fabric_cls", [Fabric, FatTreeFabric])
+def test_partition_parks_message_waiting_for_ingress(env, fabric_cls):
+    """A message already past propagation but still queued behind a
+    large one for the destination NIC's ingress is parked by a cut made
+    now, on the single switch as on the fat-tree (same edge: the
+    zero-hop route on both)."""
+    fabric = fabric_cls(env)
+    src, dst = PhysicalNic(env), PhysicalNic(env)
+    fabric.attach(src)
+    fabric.attach(dst)
+    delivered = {}
+
+    def sender():
+        for size in (1 << 20, 64):
+            yield from fabric.send(
+                src, dst, size,
+                lambda size=size: delivered.setdefault(size, env.now),
+            )
+
+    def cut():
+        yield env.timeout(300e-6)
+        # The 64 B message has landed but the 1 MiB one holds ingress.
+        assert not delivered
+        fabric.partition([src], [dst])
+        yield env.timeout(700e-6)
+        fabric.heal()
+
+    env.process(sender())
+    env.process(cut())
+    env.run()
+    # The 1 MiB frame was already on the ingress wire at the cut.
+    assert delivered[1 << 20] < 1e-3
+    assert delivered[64] >= 1e-3
+
+
+def _rdma_gbps(env, fabric, hosts, a, b, duration=0.02):
+    from repro.transports import RdmaChannel
+
+    channel = RdmaChannel(hosts[a], hosts[b])
+    got = {"bytes": 0}
+
+    def sender():
+        while env.now < duration:
+            yield from channel.a.send(1 << 20)
+
+    def receiver():
+        while True:
+            message = yield from channel.b.recv()
+            got["bytes"] += message.size_bytes
+
+    env.process(sender())
+    env.process(receiver())
+    env.run(until=duration)
+    return to_gbps(got["bytes"] / duration)
+
+
+def _oversubscribed_tree(env):
+    """k=4 tree with 4:1 agg-core links and static ECMP."""
+    fabric = FatTreeFabric(env, k=4, core_rate_scale=0.25,
+                           flowlet_gap_s=float("inf"))
+    hosts = [Host(env, f"h{i}", fabric=fabric) for i in range(5)]
+    return fabric, hosts
+
+
+def test_oversubscribed_core_caps_cross_pod_traffic(env):
+    """One cross-pod flow pins one 4:1 core path: about a quarter of
+    the 40G NIC rate."""
+    fabric, hosts = _oversubscribed_tree(env)
+    nic_gbps = to_gbps(hosts[0].nic.spec.goodput_bytes)
+    rate = _rdma_gbps(env, fabric, hosts, 0, 4)
+    assert rate == pytest.approx(0.25 * nic_gbps, rel=0.15)
+
+
+def test_same_edge_traffic_keeps_full_rate(env):
+    """Below the core the tree is non-blocking: a same-edge flow never
+    touches the skinny agg-core links."""
+    fabric, hosts = _oversubscribed_tree(env)
+    assert fabric.edge_of(hosts[0].nic) is fabric.edge_of(hosts[1].nic)
+    assert _rdma_gbps(env, fabric, hosts, 0, 1) == pytest.approx(38.8,
+                                                                  rel=0.1)
 
 
 def test_quickstart_fat_tree_cluster():
