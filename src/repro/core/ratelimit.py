@@ -66,7 +66,8 @@ class TokenBucket:
         if nbytes < 0:
             raise ValueError("negative byte count")
         with self._turnstile.request() as turn:
-            yield turn
+            if not turn.processed:
+                yield turn
             self._refill()
             if nbytes <= self._tokens:
                 self._tokens -= nbytes

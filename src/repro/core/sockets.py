@@ -379,7 +379,8 @@ class FreeFlowSocket:
         host = self.container.host
         # FIFO lock: ring-path and zero-copy sends stay in stream order.
         with self._tx_lock.request() as claim:
-            yield claim
+            if not claim.processed:
+                yield claim
             yield from host.cpu.execute(SOCKET_TRANSLATION_CYCLES)
             if nbytes >= ZERO_COPY_THRESHOLD_BYTES:
                 yield from self._send_large(nbytes, payload)
@@ -739,7 +740,8 @@ class FreeFlowSocket:
             # already entered the stream, then wait out the flusher —
             # bytes still in the ring must reach the peer before EOF.
             with self._tx_lock.request() as claim:
-                yield claim
+                if not claim.processed:
+                    yield claim
                 yield from self._await_tx_idle()
                 yield from self._qp.post_send(WorkRequest(
                     opcode=Opcode.WRITE_WITH_IMM, length=1,

@@ -79,7 +79,8 @@ class BandwidthPipe:
         while remaining > 0:
             chunk = min(remaining, self.chunk_bytes)
             with self._slots.request(priority=priority) as slot:
-                yield slot
+                if not slot.processed:
+                    yield slot
                 self._busy.add(1)
                 try:
                     yield self.env.timeout(chunk / self.rate_bytes)

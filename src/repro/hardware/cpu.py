@@ -80,7 +80,8 @@ class CpuSet:
         if cycles == 0:
             return
         with self._cores.request(priority=priority) as claim:
-            yield claim
+            if not claim.processed:
+                yield claim
             self.recorder.busy()
             try:
                 yield self.env.timeout(self.seconds_for(cycles))
@@ -93,7 +94,8 @@ class CpuSet:
         if seconds < 0:
             raise ValueError(f"negative seconds {seconds}")
         with self._cores.request(priority=priority) as claim:
-            yield claim
+            if not claim.processed:
+                yield claim
             self.recorder.busy()
             try:
                 yield self.env.timeout(seconds)

@@ -86,7 +86,8 @@ class MemoryBus:
 
         # Hold one core for the whole copy (stall time included).
         with cpu._cores.request(priority=priority) as claim:
-            yield claim
+            if not claim.processed:
+                yield claim
             cpu.recorder.busy()
             try:
                 yield from _copy_with_core()

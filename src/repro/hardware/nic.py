@@ -89,7 +89,8 @@ class PhysicalNic:
             # the op clock; treat the constant as seconds per byte here.
             seconds += nbytes * self.spec.rdma_engine_cycles_per_byte
         with self._engine.request(priority=priority) as claim:
-            yield claim
+            if not claim.processed:
+                yield claim
             self.engine_recorder.busy()
             try:
                 yield self.env.timeout(seconds)

@@ -12,11 +12,13 @@ Three families, mirroring the classic DES toolkit:
 Requests are events, so processes write::
 
     with cpu.request() as req:
-        yield req
+        if not req.processed:
+            yield req
         yield env.timeout(work_seconds)
 
 The ``with`` form guarantees release even if the process is interrupted —
-important for migration and failure-injection experiments.
+important for migration and failure-injection experiments.  A plain
+``yield req`` also works on a granted request; it just costs one event.
 
 Performance notes: ``Store`` and ``Tank`` operations that can complete
 immediately (a ``get`` against a non-empty buffer with no queued waiters,
@@ -26,6 +28,15 @@ Queued waiters always win over a newcomer — the fast path is only taken
 when the relevant wait queue is empty, so FIFO ordering and the
 no-starvation property are preserved exactly (see
 ``tests/sim/test_resources.py::TestStoreFastPath``).
+
+A ``Resource`` request on a free slot with nobody queued is granted
+synchronously: the request is appended to ``users`` and born processed,
+with nothing scheduled, so a holder that checks ``processed`` runs on in
+the same step.  Grant order is unchanged (FIFO within a priority, no
+newcomer overtakes a waiter), but the holder now runs before other
+events already queued at that instant instead of after them.  The wait
+queue is kept sorted by (priority, arrival), so a release grants with
+``pop(0)`` (see ``TestResourceSyncGrant`` and ``TestResourceGrantOrder``).
 
 Memory notes: the wait queues (``Store._put_queue``/``_get_queue``,
 ``Tank._puts``/``_gets``, ``Resource.queue``) are plain lists, not
@@ -144,7 +155,11 @@ class Resource:
         return len(self.users)
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one slot; the returned event triggers when granted."""
+        """Claim one slot; the returned event triggers when granted.
+
+        On a free slot with nobody queued the request comes back already
+        processed (granted, nothing scheduled).
+        """
         request = Request(self, priority)
         if self.env._observers:
             _notify(self, "lock", request, None)
@@ -157,7 +172,26 @@ class Resource:
     # -- internals --------------------------------------------------------
 
     def _add_request(self, request: Request) -> None:
-        self.queue.append(request)
+        users = self.users
+        queue = self.queue
+        if not queue and len(users) < self._capacity:
+            # Synchronous grant: a free slot and nobody queued ahead.  The
+            # request is born processed (nothing scheduled), so a holder
+            # that checks ``claim.processed`` carries on in the same step.
+            request._ok = True
+            request._value = None
+            request._callbacks = None
+            users.append(request)
+            for hook in self.on_change:
+                hook(self)
+            return
+        # Keep the queue sorted by (priority, arrival): insert after every
+        # request of equal or better priority, so a grant is pop(0).
+        priority = request.priority
+        index = len(queue)
+        while index and queue[index - 1].priority > priority:
+            index -= 1
+        queue.insert(index, request)
         self._trigger()
 
     def _remove_request(self, request: Request) -> None:
@@ -168,12 +202,11 @@ class Resource:
             self.queue.remove(request)
 
     def _trigger(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            request = min(
-                self.queue, key=lambda r: (r.priority, self.queue.index(r))
-            )
-            self.queue.remove(request)
-            self.users.append(request)
+        queue = self.queue
+        users = self.users
+        while queue and len(users) < self._capacity:
+            request = queue.pop(0)
+            users.append(request)
             request.succeed()
         for hook in self.on_change:
             hook(self)

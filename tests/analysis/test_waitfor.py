@@ -62,6 +62,33 @@ def test_abba_lock_cycle_raises_naming_both_locks(armed):
     assert armed.stats()["violations"] == 1
 
 
+def test_ring_raises_when_first_locks_were_granted_synchronously(armed):
+    # Holders that skip the yield on a free slot (the hardware idiom)
+    # still register as owners, so the ring is caught at the second park.
+    env = Environment()
+    lock_a = Resource(env, label="lock-a")
+    lock_b = Resource(env, label="lock-b")
+    first_claims = []
+
+    def take(first, second):
+        with first.request() as claim:
+            first_claims.append(claim.processed)
+            if not claim.processed:
+                yield claim
+            yield env.timeout(1e-6)
+            with second.request() as inner:
+                yield inner
+
+    env.process(take(lock_a, lock_b))
+    env.process(take(lock_b, lock_a))
+    with pytest.raises(DeadlockDetected) as exc_info:
+        env.run()
+    assert first_claims == [True, True]
+    message = str(exc_info.value)
+    assert "lock-a" in message and "lock-b" in message
+    assert armed.stats()["violations"] == 1
+
+
 def test_lock_self_reentry_raises(armed):
     env = Environment()
     lock = Resource(env, label="non-reentrant")

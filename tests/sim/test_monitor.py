@@ -1,5 +1,8 @@
 """Unit tests for the measurement instruments."""
 
+import random
+import struct
+
 import pytest
 
 from repro.sim import Environment, IntervalRecorder, Series, TimeWeighted
@@ -55,6 +58,94 @@ class TestTimeWeighted:
     def test_mean_with_zero_span(self, env):
         tracker = TimeWeighted(env, initial=7)
         assert tracker.mean() == 7
+
+
+class _ReferenceTimeWeighted:
+    """TimeWeighted as written before its hot path was inlined: record()
+    through the max/min builtins, add() through record()."""
+
+    def __init__(self, env, initial=0.0):
+        self.env = env
+        self._start = env.now
+        self._last_time = env.now
+        self._value = float(initial)
+        self._area = 0.0
+        self._max = float(initial)
+        self._min = float(initial)
+
+    def record(self, value):
+        now = self.env.now
+        self._area += self._value * (now - self._last_time)
+        self._last_time = now
+        self._value = float(value)
+        self._max = max(self._max, self._value)
+        self._min = min(self._min, self._value)
+
+    def add(self, delta):
+        self.record(self._value + delta)
+
+    def mean(self, until=None):
+        end = self.env.now if until is None else until
+        span = end - self._start
+        if span <= 0:
+            return self._value
+        area = self._area + self._value * (end - self._last_time)
+        return area / span
+
+    def reset(self):
+        self._start = self.env.now
+        self._last_time = self.env.now
+        self._area = 0.0
+        self._max = self._value
+        self._min = self._value
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestTimeWeightedExactness:
+    """The inlined add()/record() are bit-identical to the reference."""
+
+    VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-9, -3e7, 0.1, 0.1, 7)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequences_match_reference(self, seed):
+        rng = random.Random(seed)
+        env = Environment()
+        initial = rng.choice(self.VALUES)
+        fast = TimeWeighted(env, initial=initial)
+        ref = _ReferenceTimeWeighted(env, initial=initial)
+        for _ in range(2000):
+            op = rng.random()
+            if op < 0.3:
+                env.run(until=env.now + rng.choice((0.0, 1e-7, 0.5, 3.0)))
+            elif op < 0.6:
+                delta = rng.choice(self.VALUES + (1, -1))
+                fast.add(delta)
+                ref.add(delta)
+            elif op < 0.9:
+                value = rng.choice(self.VALUES)
+                fast.record(value)
+                ref.record(value)
+            else:
+                fast.reset()
+                ref.reset()
+            assert _bits(fast.value) == _bits(ref._value)
+            assert _bits(fast.maximum()) == _bits(ref._max)
+            assert _bits(fast.minimum()) == _bits(ref._min)
+            assert _bits(fast.mean()) == _bits(ref.mean())
+            until = env.now + 1.0
+            assert _bits(fast.mean(until)) == _bits(ref.mean(until))
+
+    def test_signed_zero_extremes_keep_the_first_seen(self, env):
+        fast = TimeWeighted(env, initial=0.0)
+        ref = _ReferenceTimeWeighted(env, initial=0.0)
+        for tracker in (fast, ref):
+            tracker.add(-0.0)
+            tracker.record(-0.0)
+        assert _bits(fast.maximum()) == _bits(ref._max) == _bits(0.0)
+        assert _bits(fast.minimum()) == _bits(ref._min) == _bits(0.0)
 
 
 class TestSeries:

@@ -62,6 +62,175 @@ class TestResource:
         assert resource.count == 1
 
 
+class TestResourceSyncGrant:
+    """A free slot is granted on the spot: the request is born processed
+    and nothing is scheduled, while queued waiters keep their order."""
+
+    def test_free_slot_grants_without_an_event(self, env):
+        resource = Resource(env, capacity=1)
+        before = env.events_processed
+        request = resource.request()
+        assert request.processed and request.ok and request.value is None
+        assert resource.users == [request]
+        env.run()
+        assert env.events_processed == before
+
+    def test_full_resource_queues_until_release_instant(self, env):
+        resource = Resource(env, capacity=1)
+        granted = []
+
+        def holder():
+            with resource.request() as claim:
+                if not claim.processed:
+                    yield claim
+                yield env.timeout(3)
+
+        def waiter():
+            with resource.request() as claim:
+                assert not claim.triggered
+                yield claim
+                granted.append(env.now)
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert granted == [3]
+
+    def test_newcomer_never_overtakes_a_queued_waiter(self, env):
+        resource = Resource(env, capacity=1)
+        holder = resource.request()
+        queued = resource.request()
+        # The release grants the queued waiter, so the slot is taken again
+        # by the time the newcomer asks.
+        resource.release(holder)
+        newcomer = resource.request()
+        assert queued.triggered
+        assert not newcomer.triggered
+        assert resource.queue == [newcomer]
+
+    def test_yielding_a_granted_request_resumes_at_same_time(self, env):
+        resource = Resource(env, capacity=1)
+        log = []
+
+        def user():
+            yield env.timeout(2)
+            with resource.request() as claim:
+                assert claim.processed
+                value = yield claim
+                log.append((env.now, value))
+
+        env.process(user())
+        env.run()
+        assert log == [(2, None)]
+
+    def test_interrupt_mid_hold_frees_the_slot(self, env):
+        from repro.sim import Interrupt
+
+        resource = Resource(env, capacity=1)
+        order = []
+
+        def doomed():
+            try:
+                with resource.request() as claim:
+                    if not claim.processed:
+                        yield claim
+                    yield env.timeout(10)
+            except Interrupt:
+                order.append(("interrupted", env.now))
+
+        def patient():
+            with resource.request() as claim:
+                yield claim
+                order.append(("granted", env.now))
+
+        victim = env.process(doomed())
+        env.process(patient())
+
+        def driver():
+            yield env.timeout(1)
+            victim.interrupt()
+
+        env.process(driver())
+        env.run()
+        assert order == [("interrupted", 1), ("granted", 1)]
+        assert resource.count == 0
+
+    def test_on_change_hooks_see_synchronous_grants(self, env):
+        resource = Resource(env, capacity=2)
+        counts = []
+        resource.on_change.append(lambda r: counts.append(r.count))
+        first = resource.request()
+        resource.request()
+        resource.release(first)
+        assert counts == [1, 2, 1]
+
+    def test_dedicate_grants_or_raises_as_before(self, env):
+        from repro.hardware import CpuSet, CpuSpec
+
+        cpu = CpuSet(env, CpuSpec(cores=1))
+        claim = cpu.dedicate()
+        assert cpu.busy_cores == 1
+        with pytest.raises(RuntimeError, match="no free core"):
+            cpu.dedicate()
+        assert not cpu._cores.queue
+        claim.release()
+        assert cpu.busy_cores == 0
+        cpu.dedicate()
+        assert cpu.busy_cores == 1
+
+
+class TestResourceGrantOrder:
+    """The sorted wait queue grants exactly what "min by (priority,
+    arrival)" over the waiters would, under releases and cancellations."""
+
+    @staticmethod
+    def _replay(seed, capacity, steps=400):
+        import random
+
+        rng = random.Random(seed)
+        env = Environment()
+        resource = Resource(env, capacity=capacity)
+        model_users, model_queue = [], []  # queue: (priority, arrival, id)
+        real, ident_of = {}, {}
+        real_grants, model_grants = [], []
+        for arrival in range(steps):
+            op = rng.random()
+            if op < 0.5 or not (model_users or model_queue):
+                priority = rng.choice((0, 0, 1, 2, -1))
+                real[arrival] = request = resource.request(priority=priority)
+                ident_of[request] = arrival
+                if len(model_users) < capacity and not model_queue:
+                    model_users.append(arrival)
+                    model_grants.append(arrival)
+                else:
+                    model_queue.append((priority, arrival, arrival))
+            elif op < 0.8 and model_users:
+                ident = rng.choice(model_users)
+                model_users.remove(ident)
+                resource.release(real[ident])
+            elif model_queue:
+                entry = rng.choice(model_queue)
+                model_queue.remove(entry)
+                real[entry[2]].cancel()
+            while model_queue and len(model_users) < capacity:
+                entry = min(model_queue)
+                model_queue.remove(entry)
+                model_users.append(entry[2])
+                model_grants.append(entry[2])
+            for request in resource.users:
+                ident = ident_of[request]
+                if ident not in real_grants:
+                    real_grants.append(ident)
+        return real_grants, model_grants
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grant_sequence_matches_reference(self, seed, capacity):
+        real, model = self._replay(seed, capacity)
+        assert len(real) > 100
+        assert real == model
+
+
 class TestStore:
     def test_put_get_fifo(self, env, runner):
         store = Store(env)

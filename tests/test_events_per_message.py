@@ -7,7 +7,10 @@ shared box swings too widely to gate on).  The shape is the
 over a two-host :class:`~repro.hardware.Fabric` and one receiver drains
 them.  Each fabric crossing passes one per-pair delivery stage
 (propagation wait, partition park, NIC ingress); one more Store hand-off
-per crossing shows up here as two more events per message.
+per crossing shows up here as two more events per message.  A claim on
+a free CPU core, NIC engine or pipe lane is granted without an event, so
+an uncontended hold costs only its service timeout; a grant that goes
+back through the scheduler shows up here as one more event per hold.
 """
 
 import pytest
@@ -24,9 +27,9 @@ SETUP_EVENTS = 16
 
 
 @pytest.mark.parametrize("channel_cls, max_events", [
-    (RdmaChannel, 34),
-    (DpdkChannel, 25),
-    (TcpFallbackChannel, 23),
+    (RdmaChannel, 26),
+    (DpdkChannel, 21),
+    (TcpFallbackChannel, 19),
 ], ids=["rdma", "dpdk", "tcp"])
 def test_events_per_message_gate(channel_cls, max_events):
     env = Environment()
