@@ -12,27 +12,28 @@ windowed echo-RPC loop at 64-512 B comparing the streaming socket path
 (ring-buffered coalesced WRITEs, batched completions, credit flow
 control) against the per-message legacy path, with byte-exact
 conservation checks on every run and an optional sanitizer+tracer
-verification pass.  Results merge into ``BENCH_sockets.json`` keyed
-``seed`` (legacy) vs ``--label`` (streaming)::
+verification pass.  Each ``--rpc`` run appends one line to
+``BENCH_history.jsonl`` holding both paths (``seed`` is the legacy
+path, ``current`` the streaming one)::
 
     PYTHONPATH=src python benchmarks/bench_api_translation.py --rpc
     PYTHONPATH=src python benchmarks/bench_api_translation.py --rpc --smoke
 """
 
-import argparse
-import itertools
-import json
-import platform
-import sys
-from pathlib import Path
-
-import pytest
-
-from repro import ContainerSpec
 from repro.core import Communicator, Opcode, SocketLayer, WorkRequest
 from repro.sim import Store, Tank
 
-from common import deploy_pair, fmt_table, freeflow_connect, record, stream, make_testbed
+from common import (
+    check_floor,
+    deploy_pair,
+    finish,
+    fmt_table,
+    freeflow_connect,
+    make_testbed,
+    perf_parser,
+    record,
+    stream,
+)
 
 MESSAGE = 1 << 20
 DURATION = 0.02
@@ -45,8 +46,6 @@ RPC_DURATION = 0.005
 #: depth a multi-threaded/async client would sustain); this is what the
 #: streaming path's coalescing feeds on.
 RPC_WINDOW = 128
-
-DEFAULT_RPC_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sockets.json"
 
 
 def _raw_channel(intra: bool):
@@ -355,7 +354,7 @@ def test_small_rpc_speedup(benchmark):
         assert current >= 3.0 * seed, (size, seed, current)
 
 
-# -- harness (BENCH_sockets.json) -------------------------------------------
+# -- harness (BENCH_history.jsonl) ------------------------------------------
 
 
 def run_rpc_suite(smoke: bool) -> dict:
@@ -377,49 +376,26 @@ def run_rpc_suite(smoke: bool) -> dict:
     }
 
 
-def merge_and_write(path: Path, label: str, seed: dict,
-                    current: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["seed"] = seed
-    data[label] = current
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="small-message RPC benchmark for the socket paths")
+    parser = perf_parser(
+        "small-message RPC benchmark for the socket paths",
+        "reduced workload + assert the speedup/rate floors",
+        floor=2_000_000.0,
+        floor_help="minimum streaming msgs/sec at 64 B in --smoke mode",
+    )
     parser.add_argument(
         "--rpc", action="store_true",
         help="run the echo-RPC workload (the only CLI mode; the "
              "throughput matrix runs under pytest-benchmark)")
     parser.add_argument(
-        "--label", default="current",
-        help="JSON key for the streaming-path results")
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_RPC_OUTPUT,
-        help="JSON file to merge results into")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced workload + assert the speedup/rate floors")
-    parser.add_argument(
-        "--floor", type=float, default=2_000_000.0,
-        help="minimum streaming msgs/sec at 64 B in --smoke mode")
-    parser.add_argument(
         "--ratio-floor", type=float, default=3.0,
         help="minimum streaming/seed speedup in --smoke mode")
-    parser.add_argument(
-        "--no-write", action="store_true",
-        help="print results without touching the JSON file")
     args = parser.parse_args(argv)
     if not args.rpc:
         parser.error("nothing to do: pass --rpc")
 
     results = run_rpc_suite(smoke=args.smoke)
+    results["window"] = RPC_WINDOW
     print(f"small-RPC benchmark ({'smoke' if args.smoke else 'full'} mode)")
     worst_ratio = None
     for size in results["sizes"]:
@@ -435,31 +411,14 @@ def main(argv=None) -> int:
           f"{verify['sanitizer_checks']:,} sanitizer checks, "
           f"0 violations")
 
-    meta = {"python": platform.python_version(), "smoke": args.smoke,
-            "window": RPC_WINDOW}
-    if not args.no_write:
-        merge_and_write(
-            args.output, args.label,
-            seed={**meta, "rpc": results["seed"]},
-            current={**meta, "rpc": results["current"],
-                     "verify": verify},
-        )
-        print(f"  -> merged under 'seed' and {args.label!r} "
-              f"in {args.output}")
-
+    failures = []
     if args.smoke:
-        rate = results["current"]["64"]["msgs_per_sec"]
-        if rate < args.floor:
-            print(f"FAIL: streaming 64B rate {rate:,.0f}/s below floor "
-                  f"{args.floor:,.0f}", file=sys.stderr)
-            return 1
-        if worst_ratio < args.ratio_floor:
-            print(f"FAIL: worst speedup {worst_ratio:.2f}x below "
-                  f"{args.ratio_floor:.1f}x", file=sys.stderr)
-            return 1
-        print(f"  smoke floors ok ({rate:,.0f}/s >= {args.floor:,.0f}; "
-              f"{worst_ratio:.2f}x >= {args.ratio_floor:.1f}x)")
-    return 0
+        check_floor(failures, "streaming 64B rate",
+                    results["current"]["64"]["msgs_per_sec"], args.floor,
+                    "msgs/s")
+        check_floor(failures, "worst streaming/seed speedup", worst_ratio,
+                    args.ratio_floor, "x", fmt=".2f")
+    return finish(args, "sockets", results, failures)
 
 
 if __name__ == "__main__":

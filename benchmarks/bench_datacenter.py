@@ -19,26 +19,19 @@ metrics come out:
 The watch-dispatch counters ride along: ``checks/event`` stays flat as
 the fleet grows because dispatch walks the key trie, not the watch set.
 
-Results merge into ``BENCH_datacenter.json`` keyed by ``--label``::
+Each run without ``--no-write`` appends one line to ``BENCH_history.jsonl``::
 
-    PYTHONPATH=src python benchmarks/bench_datacenter.py --label current
-    PYTHONPATH=src python benchmarks/bench_datacenter.py --smoke
+    PYTHONPATH=src python benchmarks/bench_datacenter.py
+    PYTHONPATH=src python benchmarks/bench_datacenter.py --smoke --no-write
 
 ``--smoke`` runs 64 hosts / 2k flows and asserts the flow-setup rate
 stays above ``--floor`` flows/sec (CI's control-plane scaling trip
-wire).  The cyclic GC is disabled for the run: with ~50 live objects
-per flow the collector's pauses would otherwise dominate the measured
-rates without ever finding garbage (everything stays reachable).
+wire).  The cyclic GC stays on, as it does for every user of the
+library, so the measured rates include its pauses.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import platform
-import sys
-from pathlib import Path
 from time import perf_counter
 
 from repro.cluster import (
@@ -54,9 +47,7 @@ from repro.sim.rand import RandomStream
 from repro.telemetry import flowrecords as _flowrecords
 from repro.telemetry.flowrecords import FlowRecorder
 
-DEFAULT_OUTPUT = (
-    Path(__file__).resolve().parent.parent / "BENCH_datacenter.json"
-)
+from common import check_floor, finish, peak_rss_kb, perf_parser
 
 #: Host lease TTL (sim seconds).  Detection latency after a rack goes
 #: silent is bounded by one TTL plus the watch coalescing window.
@@ -194,12 +185,6 @@ def fail_rack(env, cluster, network, rack: str):
 # -- phase 3: control-plane memory -------------------------------------------
 
 
-def peak_rss_kb() -> int:
-    import resource
-
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
 def memory_report(cluster, network, recorder, n_flows: int) -> dict:
     ckv, nkv = cluster.kv, network.orchestrator.kv
     rss = peak_rss_kb()
@@ -249,27 +234,11 @@ def run_suite(hosts: int, racks: int, per_host: int, n_flows: int,
     }
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="current",
-                        help="key under which results are stored")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="JSON file to merge results into")
-    parser.add_argument("--smoke", action="store_true",
-                        help="64 hosts / 2k flows + flow-setup rate floor")
-    parser.add_argument("--floor", type=float, default=500.0,
-                        help="minimum flows/sec in --smoke mode")
+    parser = perf_parser(__doc__.splitlines()[0],
+                         "64 hosts / 2k flows + flow-setup rate floor",
+                         floor=500.0,
+                         floor_help="minimum flows/sec in --smoke mode")
     parser.add_argument("--hosts", type=int, default=None,
                         help="fleet size (default 1024, smoke 64)")
     parser.add_argument("--racks", type=int, default=None,
@@ -280,24 +249,13 @@ def main(argv=None) -> int:
                         help="flows to open (default 100000, smoke 2000)")
     parser.add_argument("--seed", type=int, default=11,
                         help="seed for the pair-selection stream")
-    parser.add_argument("--no-write", action="store_true",
-                        help="print results without touching the JSON file")
     args = parser.parse_args(argv)
 
     hosts = args.hosts or (64 if args.smoke else 1024)
     racks = args.racks or (8 if args.smoke else 32)
     n_flows = args.flows or (2_000 if args.smoke else 100_000)
 
-    gc.disable()
-    try:
-        results = run_suite(hosts, racks, args.per_host, n_flows, args.seed)
-    finally:
-        gc.enable()
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "results": results,
-    }
+    results = run_suite(hosts, racks, args.per_host, n_flows, args.seed)
 
     fleet, setup = results["fleet"], results["flow_setup"]
     failure, memory = results["rack_failure"], results["memory"]
@@ -321,26 +279,15 @@ def main(argv=None) -> int:
           f"({memory['rss_kb_per_flow']:.1f} KiB/flow), recorder state "
           f"{memory['recorder_state_size']}")
 
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
-
     failed = []
     if not failure["detected"]:
         failed.append("rack failure was not fully detected")
     if not failure["repaired"]:
         failed.append("affected flows did not all repair")
-    if args.smoke and setup["flows_per_sec"] < args.floor:
-        failed.append(
-            f"flow setup {setup['flows_per_sec']:,.0f} flows/s below "
-            f"floor {args.floor:,.0f}"
-        )
-    for message in failed:
-        print(f"FAIL: {message}", file=sys.stderr)
-    if args.smoke and not failed:
-        print(f"  smoke floor ok ({setup['flows_per_sec']:,.0f} >= "
-              f"{args.floor:,.0f} flows/s)")
-    return 1 if failed else 0
+    if args.smoke:
+        check_floor(failed, "flow setup", setup["flows_per_sec"],
+                    args.floor, "flows/s")
+    return finish(args, "datacenter", results, failed)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ messages we can simulate.  This harness measures that overhead directly
   mechanism (SHM, RDMA, DPDK, kernel-TCP fallback) with 4 KiB messages;
 * ``peak_rss_kb``    — max resident set size of the whole run.
 
-Results are merged into ``BENCH_engine.json`` keyed by ``--label`` so the
-perf trajectory is tracked PR over PR::
+Each run without ``--no-write`` appends one line to
+``BENCH_history.jsonl`` (see ``benchmarks/common.py``), so the perf
+trajectory is tracked commit over commit::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --label current
-    PYTHONPATH=src python benchmarks/bench_engine.py --smoke
+    PYTHONPATH=src python benchmarks/bench_engine.py
+    PYTHONPATH=src python benchmarks/bench_engine.py --smoke --no-write
 
 ``--smoke`` runs a reduced workload and asserts the timeout-churn rate
 stays above ``--floor`` events/sec (used by CI as a perf regression trip
@@ -27,11 +28,6 @@ wire).
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
 from time import perf_counter
 
 from repro.hardware import Fabric, Host
@@ -43,7 +39,7 @@ from repro.transports import (
     TcpFallbackChannel,
 )
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+from common import best_of, check_floor, finish, message_rate, peak_rss_kb, perf_parser
 
 
 # -- engine microbenchmarks ------------------------------------------------
@@ -119,194 +115,87 @@ def bench_tank_churn(n_ops: int) -> dict:
 # -- transport message-rate benchmarks -------------------------------------
 
 
-def _run_channel(env, channel, n_msgs: int, msg_bytes: int) -> dict:
-    def sender(end):
-        for _ in range(n_msgs):
-            yield from end.send(msg_bytes)
+def _pair(channel_type):
+    def build(env):
+        fabric = Fabric(env)
+        return channel_type(Host(env, "h1", fabric=fabric),
+                            Host(env, "h2", fabric=fabric))
 
-    def receiver(end):
-        for _ in range(n_msgs):
-            yield from end.recv()
-
-    env.process(sender(channel.a))
-    done = env.process(receiver(channel.b))
-    start = perf_counter()
-    env.run(until=done)
-    wall = perf_counter() - start
-    return {
-        "messages": n_msgs,
-        "message_bytes": msg_bytes,
-        "wall_s": wall,
-        "messages_per_sec": n_msgs / wall,
-        "sim_s": env.now,
-    }
+    return build
 
 
-def bench_transports(n_msgs: int, msg_bytes: int = 4096) -> dict:
-    results = {}
+#: result key -> channel builder for a fresh environment.
+TRANSPORTS = {
+    "transport_shm": lambda env: ShmChannel(Host(env, "h1",
+                                                 fabric=Fabric(env))),
+    "transport_rdma": _pair(RdmaChannel),
+    "transport_dpdk": _pair(DpdkChannel),
+    "transport_tcp": _pair(TcpFallbackChannel),
+}
 
+
+def bench_transport(build, n_msgs: int, msg_bytes: int = 4096) -> dict:
     env = Environment()
-    host = Host(env, "h1", fabric=Fabric(env))
-    results["transport_shm"] = _run_channel(
-        env, ShmChannel(host), n_msgs, msg_bytes
-    )
-
-    env = Environment()
-    fabric = Fabric(env)
-    h1, h2 = Host(env, "h1", fabric=fabric), Host(env, "h2", fabric=fabric)
-    results["transport_rdma"] = _run_channel(
-        env, RdmaChannel(h1, h2), n_msgs, msg_bytes
-    )
-
-    env = Environment()
-    fabric = Fabric(env)
-    h1, h2 = Host(env, "h1", fabric=fabric), Host(env, "h2", fabric=fabric)
-    results["transport_dpdk"] = _run_channel(
-        env, DpdkChannel(h1, h2), n_msgs, msg_bytes
-    )
-
-    env = Environment()
-    fabric = Fabric(env)
-    h1, h2 = Host(env, "h1", fabric=fabric), Host(env, "h2", fabric=fabric)
-    results["transport_tcp"] = _run_channel(
-        env, TcpFallbackChannel(h1, h2), n_msgs, msg_bytes
-    )
-
-    return results
-
-
-def peak_rss_kb() -> int:
-    """Max resident set size so far, in KiB (Linux ru_maxrss unit)."""
-    import resource
-
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return message_rate(env, build(env), n_msgs, msg_bytes)
 
 
 # -- harness ---------------------------------------------------------------
 
 
-def _best_of(repeats: int, fn, *args, rate_key: str):
-    """Run ``fn`` ``repeats`` times, keep the best run (least noisy)."""
-    best = None
-    for _ in range(repeats):
-        result = fn(*args)
-        if best is None or result[rate_key] > best[rate_key]:
-            best = result
-    best["repeats"] = repeats
-    return best
-
-
 def run_suite(smoke: bool, repeats: int = 3) -> dict:
     scale = 0.1 if smoke else 1.0
     results = {}
-    results["timeout_churn"] = _best_of(
-        repeats,
-        lambda: bench_timeout_churn(n_procs=64, iters=max(200, int(3000 * scale))),
-        rate_key="events_per_sec",
-    )
-    results["store_handoff"] = _best_of(
-        repeats,
-        lambda: bench_store_handoff(max(5_000, int(100_000 * scale))),
-        rate_key="handoffs_per_sec",
-    )
-    results["tank_churn"] = _best_of(
-        repeats,
-        lambda: bench_tank_churn(max(5_000, int(60_000 * scale))),
-        rate_key="ops_per_sec",
-    )
+    results.update(best_of(
+        repeats, "events_per_sec",
+        timeout_churn=lambda: bench_timeout_churn(
+            n_procs=64, iters=max(200, int(3000 * scale))),
+    ))
+    results.update(best_of(
+        repeats, "handoffs_per_sec",
+        store_handoff=lambda: bench_store_handoff(
+            max(5_000, int(100_000 * scale))),
+    ))
+    results.update(best_of(
+        repeats, "ops_per_sec",
+        tank_churn=lambda: bench_tank_churn(max(5_000, int(60_000 * scale))),
+    ))
     n_msgs = max(1_000, int(15_000 * scale))
-    transports = None
-    for _ in range(1 if smoke else 2):
-        attempt = bench_transports(n_msgs)
-        if transports is None:
-            transports = attempt
-        else:
-            for name, result in attempt.items():
-                if result["messages_per_sec"] > transports[name]["messages_per_sec"]:
-                    transports[name] = result
-    results.update(transports)
+    results.update(best_of(
+        1 if smoke else 2, "messages_per_sec",
+        **{name: lambda build=build: bench_transport(build, n_msgs)
+           for name, build in TRANSPORTS.items()},
+    ))
     return results
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--label",
-        default="current",
-        help="key under which results are stored in the JSON file",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help="JSON file to merge results into",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced workload + assert events/sec floor (CI trip wire)",
-    )
-    parser.add_argument(
-        "--floor",
-        type=float,
-        default=100_000.0,
-        help="minimum acceptable timeout-churn events/sec in --smoke mode",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print results without touching the JSON file",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N repeats for the engine microbenchmarks",
+    parser = perf_parser(
+        __doc__.splitlines()[0],
+        "reduced workload + assert events/sec floor (CI trip wire)",
+        floor=100_000.0,
+        floor_help="minimum acceptable timeout-churn events/sec in "
+                   "--smoke mode",
+        repeats=True,
     )
     args = parser.parse_args(argv)
 
     results = run_suite(smoke=args.smoke, repeats=args.repeats)
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "benchmarks": results,
-        "peak_rss_kb": peak_rss_kb(),
-    }
+    results["peak_rss_kb"] = peak_rss_kb()
 
     print(f"engine benchmark ({'smoke' if args.smoke else 'full'} mode)")
     print(f"  timeout churn   {results['timeout_churn']['events_per_sec']:>12,.0f} events/s")
     print(f"  store handoff   {results['store_handoff']['handoffs_per_sec']:>12,.0f} handoffs/s")
     print(f"  tank churn      {results['tank_churn']['ops_per_sec']:>12,.0f} ops/s")
-    for name in ("transport_shm", "transport_rdma", "transport_dpdk", "transport_tcp"):
+    for name in TRANSPORTS:
         print(f"  {name:<15} {results[name]['messages_per_sec']:>12,.0f} msgs/s")
-    print(f"  peak RSS        {record['peak_rss_kb']:>12,} KiB")
+    print(f"  peak RSS        {results['peak_rss_kb']:>12,} KiB")
 
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
-
+    failures = []
     if args.smoke:
-        rate = results["timeout_churn"]["events_per_sec"]
-        if rate < args.floor:
-            print(
-                f"FAIL: timeout churn {rate:,.0f} events/s below floor "
-                f"{args.floor:,.0f}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"  smoke floor ok ({rate:,.0f} >= {args.floor:,.0f} events/s)")
-    return 0
+        check_floor(failures, "timeout churn",
+                    results["timeout_churn"]["events_per_sec"], args.floor,
+                    "events/s")
+    return finish(args, "engine", results, failures)
 
 
 if __name__ == "__main__":

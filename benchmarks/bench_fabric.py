@@ -23,26 +23,20 @@ re-hash/reorder counters.  The headline gate: flowlet goodput must beat
 the colliding ECMP baseline by >= 1.3x with **zero** intra-flowlet
 reorders observed (the tracer checks every delivery).
 
-Results merge into ``BENCH_fabric.json`` keyed by ``--label``::
+Each run without ``--no-write`` appends one line to ``BENCH_history.jsonl``::
 
-    PYTHONPATH=src python benchmarks/bench_fabric.py --label current
-    PYTHONPATH=src python benchmarks/bench_fabric.py --smoke
+    PYTHONPATH=src python benchmarks/bench_fabric.py
+    PYTHONPATH=src python benchmarks/bench_fabric.py --smoke --no-write
 
 ``--smoke`` shortens the run for CI while keeping the same gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-
 from repro.hardware import FatTreeFabric, PhysicalNic
 from repro.sim import Environment
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fabric.json"
+from common import check_floor, finish, perf_parser
 
 #: Elephant burst shape: ``BURST_MSGS`` back-to-back wire messages, then
 #: an idle gap longer than the 200 us flowlet threshold, repeated.
@@ -177,41 +171,21 @@ def run_mode(flowlet: bool, duration_s: float) -> dict:
     }
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="current",
-                        help="key under which results are stored")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="JSON file to merge results into")
-    parser.add_argument("--smoke", action="store_true",
-                        help="short run (same gates) for CI")
+    parser = perf_parser(__doc__.splitlines()[0],
+                         "short run (same gates) for CI")
     parser.add_argument("--duration", type=float, default=None,
                         help="sim seconds per mode (default 0.02, smoke "
                              "0.005)")
     parser.add_argument("--ratio-floor", type=float, default=1.3,
                         help="minimum flowlet/ecmp goodput ratio")
-    parser.add_argument("--no-write", action="store_true",
-                        help="print results without touching the JSON file")
     args = parser.parse_args(argv)
     duration = args.duration or (0.005 if args.smoke else 0.02)
 
     ecmp = run_mode(flowlet=False, duration_s=duration)
     flowlet = run_mode(flowlet=True, duration_s=duration)
     ratio = flowlet["goodput_gbps"] / ecmp["goodput_gbps"]
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
+    results = {
         "workload": {
             "k": 4,
             "elephants": len(ELEPHANT_PAIRS),
@@ -235,17 +209,10 @@ def main(argv=None) -> int:
               f"{result['core_spread']:.1f}x, "
               f"{result['flowlet_rehashes']} rehashes, "
               f"{result['reorders']} reorders")
-    print(f"  flowlet/ecmp goodput ratio: {ratio:.2f}x "
-          f"(floor {args.ratio_floor:.1f}x)")
-
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
 
     failed = []
-    if ratio < args.ratio_floor:
-        failed.append(f"flowlet/ecmp ratio {ratio:.2f} below floor "
-                      f"{args.ratio_floor:.1f}")
+    check_floor(failed, "flowlet/ecmp goodput ratio", ratio,
+                args.ratio_floor, "x", fmt=".2f")
     for result in (ecmp, flowlet):
         if result["reorders"]:
             failed.append(f"{result['mode']}: {result['reorders']} "
@@ -253,12 +220,10 @@ def main(argv=None) -> int:
     if not flowlet["flowlet_rehashes"]:
         failed.append("flowlet mode never re-hashed — the workload "
                       "exercised nothing")
-    for message in failed:
-        print(f"FAIL: {message}", file=sys.stderr)
     if not failed:
         print("PASS: flowlet beats colliding ECMP with zero reorders")
-    return 1 if failed else 0
+    return finish(args, "fabric", results, failed)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -13,10 +13,10 @@ channels carry traffic and measures:
 * ``cycles_per_sec`` — wall-clock failure/repair throughput;
 * post-repair probe conservation (every probe delivered; must be 100%).
 
-Results merge into ``BENCH_failure_repair.json`` keyed by ``--label``::
+Each run without ``--no-write`` appends one line to ``BENCH_history.jsonl``::
 
-    PYTHONPATH=src python benchmarks/bench_failure_repair.py --label current
-    PYTHONPATH=src python benchmarks/bench_failure_repair.py --smoke
+    PYTHONPATH=src python benchmarks/bench_failure_repair.py
+    PYTHONPATH=src python benchmarks/bench_failure_repair.py --smoke --no-write
 
 ``--smoke`` runs a reduced workload and exits non-zero on any lost probe
 or unhealed flow (CI trip wire).
@@ -24,19 +24,12 @@ or unhealed flow (CI trip wire).
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
 from time import perf_counter
 
 from repro import ContainerSpec, quickstart_cluster
 from repro.core import FlowState
 
-DEFAULT_OUTPUT = (
-    Path(__file__).resolve().parent.parent / "BENCH_failure_repair.json"
-)
+from common import finish, perf_parser
 
 
 def run_cycles(flows_n: int, cycles: int, probes: int = 5) -> dict:
@@ -115,41 +108,18 @@ def run_cycles(flows_n: int, cycles: int, probes: int = 5) -> dict:
     }
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="current",
-                        help="key under which results are stored")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="JSON file to merge results into")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced workload + hard conservation check")
+    parser = perf_parser(__doc__.splitlines()[0],
+                         "reduced workload + hard conservation check")
     parser.add_argument("--flows", type=int, default=None,
                         help="flows per cycle (default 6; 3 smoke)")
     parser.add_argument("--cycles", type=int, default=None,
                         help="failure/repair cycles (default 20; 4 smoke)")
-    parser.add_argument("--no-write", action="store_true",
-                        help="print results without touching the JSON file")
     args = parser.parse_args(argv)
 
     flows_n = args.flows or (3 if args.smoke else 6)
     cycles = args.cycles or (4 if args.smoke else 20)
     results = run_cycles(flows_n=flows_n, cycles=cycles)
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "benchmark": results,
-    }
 
     print(f"failure/repair benchmark "
           f"({'smoke' if args.smoke else 'full'} mode)")
@@ -163,10 +133,6 @@ def main(argv=None) -> int:
     print(f"  probes              {results['probes_sent']:,} sent, "
           f"{results['probes_lost']} lost")
 
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
-
     failures = []
     if results["probes_lost"]:
         failures.append(f"{results['probes_lost']} probes lost post-repair")
@@ -177,11 +143,9 @@ def main(argv=None) -> int:
         failures.append(
             f"{results['repairs']} repairs, expected {expected}"
         )
-    if failures:
-        print("FAIL: " + "; ".join(failures), file=sys.stderr)
-        return 1
-    print("  all flows healed by the reconciler; zero probes lost")
-    return 0
+    if not failures:
+        print("  all flows healed by the reconciler; zero probes lost")
+    return finish(args, "failure_repair", results, failures)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ does the pause/drain/rebind/resume.  Reported per relocate:
 * ``relocates_per_sec`` — wall-clock control-plane throughput;
 * ``messages lost`` — sent minus received after a full drain (must be 0).
 
-Results merge into ``BENCH_flow_churn.json`` keyed by ``--label``::
+Each run without ``--no-write`` appends one line to ``BENCH_history.jsonl``::
 
-    PYTHONPATH=src python benchmarks/bench_flow_churn.py --label current
-    PYTHONPATH=src python benchmarks/bench_flow_churn.py --smoke
+    PYTHONPATH=src python benchmarks/bench_flow_churn.py
+    PYTHONPATH=src python benchmarks/bench_flow_churn.py --smoke --no-write
 
 ``--smoke`` runs a reduced workload and exits non-zero if any message is
 lost or any flow fails to return to ACTIVE (CI trip wire).
@@ -21,20 +21,13 @@ lost or any flow fails to return to ACTIVE (CI trip wire).
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
 from time import perf_counter
 
 from repro import ContainerSpec, quickstart_cluster
 from repro.core import FlowState
 from repro.errors import ConnectionReset
 
-DEFAULT_OUTPUT = (
-    Path(__file__).resolve().parent.parent / "BENCH_flow_churn.json"
-)
+from common import finish, perf_parser
 
 
 def run_churn(pairs: int, relocates: int, send_gap_s: float = 50e-6) -> dict:
@@ -125,41 +118,18 @@ def run_churn(pairs: int, relocates: int, send_gap_s: float = 50e-6) -> dict:
     }
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="current",
-                        help="key under which results are stored")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="JSON file to merge results into")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced workload + hard conservation check")
+    parser = perf_parser(__doc__.splitlines()[0],
+                         "reduced workload + hard conservation check")
     parser.add_argument("--pairs", type=int, default=None,
                         help="streaming container pairs (default 8; 4 smoke)")
     parser.add_argument("--relocates", type=int, default=None,
                         help="relocations to drive (default 40; 8 smoke)")
-    parser.add_argument("--no-write", action="store_true",
-                        help="print results without touching the JSON file")
     args = parser.parse_args(argv)
 
     pairs = args.pairs or (4 if args.smoke else 8)
     relocates = args.relocates or (8 if args.smoke else 40)
     results = run_churn(pairs=pairs, relocates=relocates)
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "benchmark": results,
-    }
 
     print(f"flow churn benchmark ({'smoke' if args.smoke else 'full'} mode)")
     print(f"  pairs / relocates   {results['pairs']} / {results['relocates']}")
@@ -170,10 +140,6 @@ def main(argv=None) -> int:
     print(f"  messages            {results['messages_sent']:,} sent, "
           f"{results['messages_lost']} lost")
 
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
-
     failures = []
     if results["messages_lost"]:
         failures.append(f"{results['messages_lost']} messages lost")
@@ -183,11 +149,9 @@ def main(argv=None) -> int:
         failures.append(
             f"only {results['rebinds']} rebinds for {relocates} relocates"
         )
-    if failures:
-        print("FAIL: " + "; ".join(failures), file=sys.stderr)
-        return 1
-    print("  conservation ok: every relocate rebound, zero messages lost")
-    return 0
+    if not failures:
+        print("  conservation ok: every relocate rebound, zero messages lost")
+    return finish(args, "flow_churn", results, failures)
 
 
 if __name__ == "__main__":

@@ -1,24 +1,30 @@
 #!/usr/bin/env python
-"""Flight-recorder overhead benchmark: what does flow accounting cost?
+"""Telemetry overhead benchmark: what do tracing and flow accounting cost?
 
-The flight recorder (``repro.telemetry`` rollups + flow records) hooks
-the same hot delivery paths as the tracer and must obey the same
-contract: one pointer compare when disarmed, small bounded cost when
-armed at the production sampling rate.  Three claims are quantified:
+The flow tracer and the flight recorder (``repro.telemetry`` rollups +
+flow records) hook the same hot delivery paths and obey the same
+contract: one pointer compare when off, small bounded cost when armed at
+the production sampling rate.  Every row is shm messages/sec, and the
+configurations take turns within each repeat:
 
-* ``shm_off``      — shm messages/sec with the recorder disarmed (the
-  default).  Baseline for the overhead rows.
+* ``shm_off``      — tracer and recorder off (the default).  Baseline
+  for the overhead rows.
+* ``shm_sample_0`` / ``shm_sample_1`` / ``shm_sample_100`` — tracer on
+  at 0% (every message pays the guard and an RNG-free shortcut, no
+  trace allocated), 1% (the recommended production setting) and 100%
+  sampling (every message fully traced).  Informational; not gated.
 * ``shm_armed_1``  — recorder armed at 1% flow sampling with rollups
   every 1 ms of sim time: the recommended production setting.  In
   ``--smoke`` mode the overhead must stay within ``--budget`` (default
-  5%) — the CI trip wire for the PR-2 hot-path contract.  (Rollup
+  5%) — the CI trip wire for the hot-path contract.  (Rollup
   frequency is the knob that matters: each roll snapshots the whole
   registry, so a 100 us interval on a millisecond-scale sim pays ~10%.)
 * ``shm_armed_100``— 100% sampling, every delivery fully accounted
   (informational; not gated).
 
-Two correctness gates ride along because they are cheap and catch the
-failure modes that matter for an accountant:
+Each tracer and recorder row reports ``overhead_pct`` relative to
+``shm_off``.  Two correctness gates ride along because they are cheap
+and catch the failure modes that matter for an accountant:
 
 * ``bounded_memory``  — a recorder fed 10x the distinct flows must stay
   under the static cap ``3*top_k + max_records + label_cache`` (sketches
@@ -26,20 +32,13 @@ failure modes that matter for an accountant:
 * ``topk_ground_truth`` — the Space-Saving top-10 on a skewed synthetic
   stream must identify the exact true top-10.
 
-Results merge into ``BENCH_observability.json`` keyed by ``--label``::
+Each run without ``--no-write`` appends one line to ``BENCH_history.jsonl``::
 
-    PYTHONPATH=src python benchmarks/bench_observability.py --label current
-    PYTHONPATH=src python benchmarks/bench_observability.py --smoke
+    PYTHONPATH=src python benchmarks/bench_observability.py
+    PYTHONPATH=src python benchmarks/bench_observability.py --smoke --no-write
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-from time import perf_counter
 
 from repro import telemetry
 from repro.hardware import Fabric, Host
@@ -49,46 +48,19 @@ from repro.telemetry.flowrecords import FlowRecorder
 from repro.telemetry.sketches import SpaceSaving
 from repro.transports import ShmChannel
 
-DEFAULT_OUTPUT = (
-    Path(__file__).resolve().parent.parent / "BENCH_observability.json"
-)
+from common import best_of, finish, message_rate, perf_parser
+
+#: Tracer sampling rates (percent) measured next to the recorder rows.
+TRACER_PCTS = (0, 1, 100)
+#: Flight-recorder flow sampling rates (percent).
+RECORDER_PCTS = (1, 100)
 
 
-def bench_shm_messages(n_msgs: int, msg_bytes: int = 4096) -> dict:
+def shm_rate(n_msgs: int) -> dict:
     """End-to-end shm messages/sec — the hook-dense delivery path."""
     env = Environment()
-    host = Host(env, "h0", fabric=Fabric(env))
-    channel = ShmChannel(host)
-
-    def sender(end):
-        for _ in range(n_msgs):
-            yield from end.send(msg_bytes)
-
-    def receiver(end):
-        for _ in range(n_msgs):
-            yield from end.recv()
-
-    env.process(sender(channel.a))
-    done = env.process(receiver(channel.b))
-    start = perf_counter()
-    env.run(until=done)
-    wall = perf_counter() - start
-    return {
-        "messages": n_msgs,
-        "message_bytes": msg_bytes,
-        "wall_s": wall,
-        "messages_per_sec": n_msgs / wall,
-    }
-
-
-def _best_of(repeats: int, fn, rate_key: str) -> dict:
-    best = None
-    for _ in range(repeats):
-        result = fn()
-        if best is None or result[rate_key] > best[rate_key]:
-            best = result
-    best["repeats"] = repeats
-    return best
+    return message_rate(env, ShmChannel(Host(env, "h0", fabric=Fabric(env))),
+                        n_msgs)
 
 
 def check_bounded_memory(base_flows: int = 5_000) -> dict:
@@ -140,78 +112,50 @@ def check_topk_ground_truth(draws: int = 20_000, keys: int = 2_000) -> dict:
 def run_suite(smoke: bool, repeats: int = 3) -> dict:
     scale = 0.25 if smoke else 1.0
     n_msgs = max(5_000, int(20_000 * scale))
-    results: dict[str, dict] = {}
 
-    def armed(rate):
-        with telemetry.session(sample_rate=0.0,
-                               flow_sample_rate=rate,
-                               rollup_interval_s=1e-3) as handle:
-            result = bench_shm_messages(n_msgs)
-            result["sampled_flows"] = handle.flows.sampled_flows
-            result["rollup_windows"] = len(handle.rollups.windows)
+    def traced(pct):
+        with telemetry.session(sample_rate=pct / 100.0) as handle:
+            result = shm_rate(n_msgs)
+        result["sample_rate"] = pct / 100.0
+        result["traces"] = len(handle.tracer)
         return result
 
-    # Interleave off/armed measurements within each repeat so clock
-    # drift (frequency ramps, background load) hits every configuration
-    # equally instead of biasing whichever ran first.
-    rows: dict[str, dict] = {}
-    for _ in range(repeats):
-        for key, fn in (("shm_off", lambda: bench_shm_messages(n_msgs)),
-                        ("shm_armed_1", lambda: armed(0.01)),
-                        ("shm_armed_100", lambda: armed(1.0))):
-            result = fn()
-            best = rows.get(key)
-            if (best is None
-                    or result["messages_per_sec"]
-                    > best["messages_per_sec"]):
-                rows[key] = result
+    def armed(pct):
+        with telemetry.session(sample_rate=0.0,
+                               flow_sample_rate=pct / 100.0,
+                               rollup_interval_s=1e-3) as handle:
+            result = shm_rate(n_msgs)
+        result["flow_sample_rate"] = pct / 100.0
+        result["sampled_flows"] = handle.flows.sampled_flows
+        result["rollup_windows"] = len(handle.rollups.windows)
+        return result
 
-    rows["shm_off"]["repeats"] = repeats
-    results["shm_off"] = rows["shm_off"]
+    # The gated recorder rows run right after the baseline, so the pair
+    # the budget compares is measured back to back.
+    configs = {"shm_off": lambda: shm_rate(n_msgs)}
+    for pct in RECORDER_PCTS:
+        configs[f"shm_armed_{pct}"] = lambda pct=pct: armed(pct)
+    for pct in TRACER_PCTS:
+        configs[f"shm_sample_{pct}"] = lambda pct=pct: traced(pct)
+    results = best_of(repeats, "messages_per_sec", **configs)
     baseline = results["shm_off"]["messages_per_sec"]
-    for pct in (1, 100):
-        row = rows[f"shm_armed_{pct}"]
-        row["repeats"] = repeats
-        row["flow_sample_rate"] = pct / 100.0
-        row["overhead_pct"] = 100.0 * (
-            1.0 - row["messages_per_sec"] / baseline
-        )
-        results[f"shm_armed_{pct}"] = row
+    for key, row in results.items():
+        if key != "shm_off":
+            row["overhead_pct"] = 100.0 * (
+                1.0 - row["messages_per_sec"] / baseline
+            )
 
     results["bounded_memory"] = check_bounded_memory()
     results["topk_ground_truth"] = check_topk_ground_truth()
     return results
 
 
-def merge_and_write(path: Path, label: str, record: dict) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[label] = record
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--label",
-        default="current",
-        help="key under which results are stored in the JSON file",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help="JSON file to merge results into",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced workload + gate 1%%-sampling overhead against "
-        "--budget and the two correctness checks (CI trip wire)",
+    parser = perf_parser(
+        __doc__.splitlines()[0],
+        "reduced workload + gate 1%% recorder overhead against --budget "
+        "and the two correctness checks (CI trip wire)",
+        repeats=True,
     )
     parser.add_argument(
         "--budget",
@@ -219,17 +163,6 @@ def main(argv=None) -> int:
         default=5.0,
         help="maximum acceptable overhead_pct for shm_armed_1 in "
         "--smoke mode",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print results without touching the JSON file",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N repeats per configuration",
     )
     args = parser.parse_args(argv)
 
@@ -242,15 +175,16 @@ def main(argv=None) -> int:
         if (retry["shm_armed_1"]["overhead_pct"]
                 < results["shm_armed_1"]["overhead_pct"]):
             results = retry
-    record = {
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "benchmarks": results,
-    }
 
     print(f"observability benchmark ({'smoke' if args.smoke else 'full'} mode)")
-    print(f"  shm (recorder off)   {results['shm_off']['messages_per_sec']:>12,.0f} msgs/s")
-    for pct in (1, 100):
+    print(f"  shm (all off)        {results['shm_off']['messages_per_sec']:>12,.0f} msgs/s")
+    for pct in TRACER_PCTS:
+        row = results[f"shm_sample_{pct}"]
+        print(
+            f"  shm (traced {pct:>3d}%)    {row['messages_per_sec']:>12,.0f} msgs/s"
+            f"  ({row['overhead_pct']:+5.1f}% vs off, {row['traces']} traces)"
+        )
+    for pct in RECORDER_PCTS:
         row = results[f"shm_armed_{pct}"]
         print(
             f"  shm (armed {pct:>3d}%)     {row['messages_per_sec']:>12,.0f} msgs/s"
@@ -269,10 +203,6 @@ def main(argv=None) -> int:
         f" ({topk['distinct_keys']} keys through capacity"
         f" {topk['capacity']})"
     )
-
-    if not args.no_write:
-        merge_and_write(args.output, args.label, record)
-        print(f"  -> merged under {args.label!r} in {args.output}")
 
     failures = []
     if not bounded["bounded"]:
@@ -295,9 +225,7 @@ def main(argv=None) -> int:
                 f"  smoke budget ok ({overhead:+.1f}% <= "
                 f"{args.budget:.1f}%)"
             )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return finish(args, "observability", results, failures)
 
 
 if __name__ == "__main__":

@@ -63,7 +63,9 @@ __all__ = [
     "idle_report",
 ]
 
-#: Sweep threshold for the request→owner map (see _sweep_request_owners).
+#: Smallest sweep threshold for the request→owner map: a sweep runs once
+#: the map outgrows twice what survived the last one, and never below
+#: this (see _sweep_request_owners).
 _OWNER_SWEEP_AT = 4096
 
 
@@ -75,6 +77,7 @@ class _State(Observer):
         self.waits: dict = {}
         #: Request -> owning process (granted or queued).
         self.request_owner: dict = {}
+        self.owner_sweep_at = _OWNER_SWEEP_AT
         #: Tank -> [sign, deque[(process, amount)]].  sign +1: the
         #: entries hold occupancy (net puts); sign -1: they hold credit
         #: (net gets); 0: settled.
@@ -93,8 +96,10 @@ class _State(Observer):
         if kind == "lock":
             if proc is not None:
                 self.request_owner[event] = proc
-                if len(self.request_owner) > _OWNER_SWEEP_AT:
+                if len(self.request_owner) > self.owner_sweep_at:
                     _sweep_request_owners(self)
+                    self.owner_sweep_at = max(
+                        _OWNER_SWEEP_AT, 2 * len(self.request_owner))
                 if not event.triggered:
                     _record_wait(self, proc, event, resource, kind, None)
                     _lock_cycle_check(self, proc, resource)
@@ -307,12 +312,17 @@ def _lock_holders(state, resource) -> list:
 
 
 def _sweep_request_owners(state) -> None:
-    state.request_owner = {
-        request: owner
-        for request, owner in state.request_owner.items()
-        if request in request.resource.users
-        or request in request.resource.queue
-    }
+    """Drop released and withdrawn requests from the owner map."""
+    live: dict = {}
+    owners = {}
+    for request, owner in state.request_owner.items():
+        members = live.get(request.resource)
+        if members is None:
+            resource = request.resource
+            members = live[resource] = {*resource.users, *resource.queue}
+        if request in members:
+            owners[request] = owner
+    state.request_owner = owners
 
 
 def _lock_cycle_check(state, proc, resource) -> None:

@@ -28,7 +28,8 @@ Two data paths are implemented:
   verbs SEND per ``send()`` fragment and one blocking ``cq.wait()``
   per received message — the per-message regime the streaming path
   exists to beat; kept as the measured baseline for
-  ``benchmarks/bench_api_translation.py --rpc`` (BENCH_sockets.json).
+  ``benchmarks/bench_api_translation.py --rpc`` (the ``sockets`` lines
+  of BENCH_history.jsonl).
 
 Translation costs stay explicit so bench E16 can measure the tax: a
 fixed per-call CPU cost (:data:`SOCKET_TRANSLATION_CYCLES`) and a

@@ -34,8 +34,8 @@ optionally ``rollup_interval_s``) to arm it::
         print(export.format_top(t.flows, t.registry))
 
 Outside a session everything is disabled and the instrumentation hooks
-cost one module-attribute load per message (see ``bench_telemetry.py``
-and ``bench_observability.py`` for the measured overhead).
+cost one module-attribute load per message (the tracer and recorder
+rows of ``bench_observability.py`` measure the overhead).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Design constraints, in order:
 
 1. **Near-zero overhead when disabled.**  Hot paths guard every hook
    with ``tracer.ACTIVE is None`` — one module-attribute load and a
-   pointer compare per message, nothing else.  ``bench_telemetry.py``
-   measures this (and the 1%/100% sampling cost) so CI can police it.
+   pointer compare per message, nothing else.  The tracer rows of
+   ``bench_observability.py`` measure the 0%/1%/100% sampling cost, and
+   the engine smoke's events/sec floor polices the disabled path.
 2. **Deterministic sampling.**  Each flow gets its own seeded
    :class:`repro.sim.rand.RandomStream` (derived from ``sha256(seed:flow)``),
    so two runs with the same seed trace the *same* messages, and tracing

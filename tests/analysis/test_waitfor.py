@@ -8,6 +8,8 @@ the same fixture live, naming both resources in the ownership chain.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis import waitfor
@@ -121,6 +123,39 @@ def test_plain_lock_contention_does_not_raise(armed):
     env.run()
     assert order == ["first", "second"]
     assert armed.stats()["parks"] >= 1
+    assert armed.stats()["violations"] == 0
+
+
+def test_owner_sweeps_stay_logarithmic_past_the_threshold(armed, monkeypatch):
+    """4,500 live holders of one resource: the request->owner map is
+    re-swept only when it doubles past what survived the last sweep,
+    not on every lock operation once it passes the threshold."""
+    holders = 4_500
+    bound = math.ceil(math.log2(holders))
+    sweeps = []
+    sweep = waitfor._sweep_request_owners
+
+    def counted(state):
+        sweeps.append(len(state.request_owner))
+        # Fail fast: past the bound every further lock op would sweep.
+        assert len(sweeps) <= bound, f"{len(sweeps)} owner sweeps"
+        sweep(state)
+
+    monkeypatch.setattr(waitfor, "_sweep_request_owners", counted)
+    env = Environment()
+    slots = Resource(env, capacity=holders, label="slots")
+
+    def holder():
+        with slots.request() as claim:
+            if not claim.processed:
+                yield claim
+            yield env.timeout(1e-3)
+
+    for _ in range(holders):
+        env.process(holder())
+    env.run()
+    assert len(slots.users) == 0
+    assert len(sweeps) <= bound
     assert armed.stats()["violations"] == 0
 
 
